@@ -1,185 +1,104 @@
 """Hot numeric kernels: word-tree scans and matrix-product path sums.
 
-Two implementations live here.  The default is a set of numba ``@njit``
-loops; setting the environment variable ``JSRKIT_NO_NUMBA=1`` before import
-(or running without numba installed) selects vectorized pure-numpy
-versions instead.  Both produce identical results on complete runs;
-``benchmarks/bench_kernels.py`` compares their speed.
+Everything here is vectorized numpy; there is one implementation of each
+kernel.  ``scan_words`` walks the word tree one level at a time, forming
+all K^n products of a level as one batched matmul.  Only the per-level
+maxima of the spectral radius and the operator norm are wanted, so the
+expensive batched SVD and ``eigvals`` run on a screened subset, and the
+screen is exact:
+
+* rho(P) <= ||P||_2 <= ||P||_F for every product P, and the Frobenius
+  norms of a whole level cost one reduction.  A word whose ||P||_F lies
+  below a value that some word of the level attains (the 2-norm, or the
+  spectral radius, of the word with the largest Frobenius norm) cannot
+  hold the maximum, so it is skipped.  The 1e-10 relative margin covers
+  rounding in the computed norms.
+* Every word that can attain the maximum survives the screen, and the
+  argmax is taken over survivors in index (= lexicographic) order, so the
+  first maximizer is the same word an unscreened scan would pick.
+
+Real families (every imaginary part exactly 0) run in float64.  Words of
+length n are carried as their base-K indices c = 0..K^n-1 in lexicographic
+order, and only the winners are decoded to digits.
 
 Letters are 0-based here; the public API uses 1-based words.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .config import NO_NUMBA_ENV, RENORM_EVERY
+from .config import RENORM_EVERY
 
-_FORCE_NUMPY = os.environ.get(NO_NUMBA_ENV, "").strip().lower() in {"1", "true", "yes"}
+# jsrbench/run.py prints this in its header: there is no compiled path.
+USE_NUMBA = False
 
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-USE_NUMBA = _HAVE_NUMBA and not _FORCE_NUMPY
+_SCREEN_MARGIN = 1.0 - 1e-10
+# log norms within this of each other tie (a relative 1e-12 in the norm)
+_LOG_TIE = 1e-12
+# below this the squares summed into ||P||_F may underflow, so the screen
+# is skipped (and every word is checked) rather than trusted
+_SCREEN_FLOOR = 1e-140
 
 
-# ---------------------------------------------------------------------------
-# njit path: depth-first scans with memoized prefix products
-# ---------------------------------------------------------------------------
-
-def _is_canonical(w, n):
-    # w[:n] is lexicographically <= every cyclic rotation of itself
+def canonical_mask(k: int, n: int) -> np.ndarray:
+    """Mask over the words of length n (as base-k indices, lexicographic
+    order) that are lexicographically <= every cyclic rotation of
+    themselves.  Rotating word c left by s gives
+    (c mod k^(n-s)) * k^s + c div k^(n-s)."""
+    codes = np.arange(k ** n, dtype=np.int64)
+    mask = np.ones(codes.size, bool)
     for s in range(1, n):
-        for i in range(n):
-            a = w[(i + s) % n]
-            b = w[i]
-            if a < b:
-                return False
-            if a > b:
-                break
-    return True
+        high = k ** (n - s)
+        mask &= codes <= (codes % high) * k ** s + codes // high
+    return mask
 
 
-def _scan_words_dfs(mats, depth, node_budget, dedup):
-    """DFS over all words of length 1..depth.
+def _digits(code: int, k: int, n: int) -> np.ndarray:
+    out = np.zeros(n, np.int64)
+    for i in range(n - 1, -1, -1):
+        code, out[i] = divmod(code, k)
+    return out
 
-    Returns per-depth maxima of averaged norm and averaged spectral
-    value, the best (value, word) for the spectral lower bound with
-    shorter-then-lexicographic tie-breaking, the word with the largest
-    raw log product norm, the node count, and a completion flag.
+
+def _first_near_max(values, tie):
+    """First index whose value is within ``tie`` of the maximum: rounding
+    must not decide between words of mathematically equal value (cyclic
+    rotations, reversed words of a symmetric family, orthogonal letters)."""
+    return int(np.argmax(values >= values.max() - tie))
+
+
+def _two_norms(prods):
+    return np.linalg.svd(prods, compute_uv=False)[:, 0]
+
+
+def _spectral_radii(prods):
+    return np.abs(np.linalg.eigvals(prods)).max(axis=1)
+
+
+def _screened(values_of, prods, fro, candidates):
+    """(indices, values) of the candidates that can hold the maximum of
+    ``values_of`` (2-norm or spectral radius, both <= ||P||_F): those whose
+    Frobenius norm reaches the value of the candidate with the largest one."""
+    top = candidates[int(np.argmax(fro[candidates]))]
+    floor = values_of(prods[top:top + 1])[0]
+    if floor >= _SCREEN_FLOOR:
+        candidates = candidates[fro[candidates] >= floor * _SCREEN_MARGIN]
+    return candidates, values_of(prods[candidates])
+
+
+def scan_words(mats, depth, node_budget, dedup):
+    """Exhaustive scan over all words of length 1..depth, level by level.
+
+    Returns per-depth maxima of averaged norm and averaged spectral value,
+    the best (value, word) for the spectral lower bound with
+    shorter-then-lexicographic tie-breaking, the log norm and word of the
+    largest product norm, the node count, and a completion flag.  A level
+    is scanned only when it fits in the remaining node budget.
     """
-    K = mats.shape[0]
-    d = mats.shape[1]
-    max_rho = np.zeros(depth)
-    max_norm = np.zeros(depth)
-    best_val = -1.0
-    best_len = 0
-    best_word = np.zeros(depth, np.int64)
-    bn_val = -np.inf
-    bn_len = 0
-    bn_word = np.zeros(depth, np.int64)
-    prods = np.zeros((depth + 1, d, d), np.complex128)
-    for i in range(d):
-        prods[0, i, i] = 1.0
-    w = np.zeros(depth, np.int64)
-    nodes = 0
-    completed = True
-    n = 1
-    w[0] = 0
-    while True:
-        if nodes >= node_budget:
-            completed = False
-            break
-        prods[n] = prods[n - 1] @ mats[w[n - 1]]
-        nodes += 1
-        sv = np.linalg.svd(prods[n])[1]
-        nrm = sv[0]
-        av_n = nrm ** (1.0 / n) if nrm > 0.0 else 0.0
-        if av_n > max_norm[n - 1]:
-            max_norm[n - 1] = av_n
-        lognorm = np.log(nrm) if nrm > 0.0 else -np.inf
-        if lognorm > bn_val:
-            bn_val = lognorm
-            bn_len = n
-            bn_word[:n] = w[:n]
-        if (not dedup) or _is_canonical(w, n):
-            ev = np.linalg.eigvals(prods[n])
-            r = np.max(np.abs(ev))
-            av = r ** (1.0 / n) if r > 0.0 else 0.0
-            if av > max_rho[n - 1]:
-                max_rho[n - 1] = av
-            tie = 1e-12 * (best_val if best_val > 1.0 else 1.0)
-            take = False
-            if av > best_val + tie:
-                take = True
-            elif av > best_val - tie and n < best_len:
-                take = True
-            if take:
-                best_val = av
-                best_len = n
-                best_word[:n] = w[:n]
-        if n < depth:
-            n += 1
-            w[n - 1] = 0
-        else:
-            while n >= 1 and w[n - 1] == K - 1:
-                n -= 1
-            if n == 0:
-                break
-            w[n - 1] += 1
-    return (max_rho, max_norm, best_val, best_word, best_len,
-            bn_val, bn_word, bn_len, nodes, completed)
-
-
-def _path_log_norms_loop(mats, paths):
-    """Per-path (1/L) log ||S_{i_1} ... S_{i_L}|| with running rescaling."""
-    n_paths, length = paths.shape
-    d = mats.shape[1]
-    out = np.empty(n_paths)
-    for s in range(n_paths):
-        prod = np.zeros((d, d), np.complex128)
-        for i in range(d):
-            prod[i, i] = 1.0
-        acc = 0.0
-        dead = False
-        for t in range(length):
-            prod = prod @ mats[paths[s, t]]
-            if (t + 1) % RENORM_EVERY == 0:
-                f = 0.0
-                for i in range(d):
-                    for j in range(d):
-                        f += prod[i, j].real ** 2 + prod[i, j].imag ** 2
-                f = np.sqrt(f)
-                if f == 0.0:
-                    dead = True
-                    break
-                prod = prod / f
-                acc += np.log(f)
-        if dead:
-            out[s] = -np.inf
-            continue
-        sv = np.linalg.svd(prod)[1][0]
-        out[s] = (acc + np.log(sv)) / length if sv > 0.0 else -np.inf
-    return out
-
-
-def _power_log_norms_loop(mat, steps):
-    """log ||A^n|| for n = 1..steps, overflow-safe."""
-    d = mat.shape[0]
-    prod = np.zeros((d, d), np.complex128)
-    for i in range(d):
-        prod[i, i] = 1.0
-    out = np.empty(steps)
-    acc = 0.0
-    for t in range(steps):
-        prod = prod @ mat
-        f = 0.0
-        for i in range(d):
-            for j in range(d):
-                f += prod[i, j].real ** 2 + prod[i, j].imag ** 2
-        f = np.sqrt(f)
-        if f == 0.0:
-            out[t:] = -np.inf
-            return out
-        prod = prod / f
-        acc += np.log(f)
-        sv = np.linalg.svd(prod)[1][0]
-        out[t] = acc + (np.log(sv) if sv > 0.0 else -np.inf)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy path: breadth-first, batched linalg over whole levels
-# ---------------------------------------------------------------------------
-
-def _scan_words_numpy(mats, depth, node_budget, dedup):
     K, d, _ = mats.shape
+    if not np.any(mats.imag):
+        mats = np.ascontiguousarray(mats.real)
     max_rho = np.zeros(depth)
     max_norm = np.zeros(depth)
     best_val = -1.0
@@ -190,8 +109,7 @@ def _scan_words_numpy(mats, depth, node_budget, dedup):
     bn_word = np.zeros(depth, np.int64)
     nodes = 0
     completed = True
-    prods = np.eye(d, dtype=np.complex128)[None]
-    words = np.zeros((1, 0), np.int64)
+    prods = np.eye(d, dtype=mats.dtype)[None]
     for n in range(1, depth + 1):
         m = prods.shape[0] * K
         if nodes + m > node_budget:
@@ -199,43 +117,39 @@ def _scan_words_numpy(mats, depth, node_budget, dedup):
             break
         # children in lexicographic order: parent-major, letter-minor
         prods = (prods[:, None] @ mats[None]).reshape(m, d, d)
-        words = np.concatenate(
-            [np.repeat(words, K, axis=0),
-             np.tile(np.arange(K, dtype=np.int64), words.shape[0])[:, None]],
-            axis=1,
-        )
         nodes += m
-        norms = np.linalg.svd(prods, compute_uv=False)[:, 0]
-        av_norms = np.where(norms > 0.0, norms ** (1.0 / n), 0.0)
-        max_norm[n - 1] = av_norms.max()
+        flat = prods.reshape(m, -1)
+        if np.iscomplexobj(flat):
+            flat = flat.view(np.float64)
+        fro = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        everything = np.arange(m)
+
+        kept, norms = _screened(_two_norms, prods, fro, everything)
+        top = float(norms.max())
+        max_norm[n - 1] = top ** (1.0 / n) if top > 0.0 else 0.0
         with np.errstate(divide="ignore"):
             lognorms = np.where(norms > 0.0, np.log(norms), -np.inf)
-        i = int(np.argmax(lognorms))
-        if lognorms[i] > bn_val:
+        i = _first_near_max(lognorms, _LOG_TIE)
+        if lognorms[i] > bn_val + _LOG_TIE:
             bn_val = float(lognorms[i])
             bn_len = n
-            bn_word[:n] = words[i]
-        if dedup:
-            mask = np.fromiter(
-                (_is_canonical(row, n) for row in words), bool, count=m
-            )
-        else:
-            mask = np.ones(m, bool)
-        ev = np.linalg.eigvals(prods[mask])
-        rhos = np.abs(ev).max(axis=1)
+            bn_word[:n] = _digits(int(kept[i]), K, n)
+
+        canon = np.flatnonzero(canonical_mask(K, n)) if dedup else everything
+        kept, rhos = _screened(_spectral_radii, prods, fro, canon)
         avs = np.where(rhos > 0.0, rhos ** (1.0 / n), 0.0)
         max_rho[n - 1] = avs.max()
-        j = int(np.argmax(avs))  # first occurrence = lexicographically least
-        tie = 1e-12 * max(best_val, 1.0)
-        if avs[j] > best_val + tie:
+        j = _first_near_max(avs, 1e-12 * max(max_rho[n - 1], 1.0))
+        if avs[j] > best_val + 1e-12 * max(best_val, 1.0):
             best_val = float(avs[j])
             best_len = n
-            best_word[:n] = words[mask][j]
+            best_word[:n] = _digits(int(kept[j]), K, n)
     return (max_rho, max_norm, best_val, best_word, best_len,
             bn_val, bn_word, bn_len, nodes, completed)
 
 
-def _path_log_norms_numpy(mats, paths):
+def path_log_norms(mats, paths):
+    """Per-path (1/L) log ||S_{i_1} ... S_{i_L}|| with running rescaling."""
     n_paths, length = paths.shape
     K, d, _ = mats.shape
     prods = np.broadcast_to(np.eye(d, dtype=np.complex128),
@@ -262,7 +176,8 @@ def _path_log_norms_numpy(mats, paths):
     return out
 
 
-def _power_log_norms_numpy(mat, steps):
+def power_log_norms(mat, steps):
+    """log ||A^n|| for n = 1..steps, overflow-safe."""
     d = mat.shape[0]
     prod = np.eye(d, dtype=np.complex128)
     out = np.empty(steps)
@@ -278,18 +193,3 @@ def _power_log_norms_numpy(mat, steps):
         sv = np.linalg.svd(prod, compute_uv=False)[0]
         out[t] = acc + (np.log(sv) if sv > 0.0 else -np.inf)
     return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    _is_canonical = _njit(cache=True)(_is_canonical)
-    scan_words = _njit(cache=True)(_scan_words_dfs)
-    path_log_norms = _njit(cache=True)(_path_log_norms_loop)
-    power_log_norms = _njit(cache=True)(_power_log_norms_loop)
-else:
-    scan_words = _scan_words_numpy
-    path_log_norms = _path_log_norms_numpy
-    power_log_norms = _power_log_norms_numpy

@@ -5,6 +5,13 @@ a depth (a true lower bound since it is attained); the upper bound is the
 smallest per-depth maximum of nth-root product norms (a true upper bound
 by submultiplicativity).  ``pruned_search`` narrows the bracket with a
 Gripenberg-style branch-and-bound instead of exhausting every depth.
+
+The exhaustive scan (numpy only, ``_kernels.scan_words``) needs just the
+maximum of each level, so it takes singular values and eigenvalues only
+of the words whose Frobenius norm reaches a value some word of the level
+attains.  That screen is exact because rho(P) <= ||P||_2 <= ||P||_F, and
+the first maximizer in lexicographic order survives it, so the tie rules
+below are those of a scan of every word.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ import numpy as np
 
 from . import _kernels
 from .config import DEFAULT_NODE_BUDGET
-from .matrix_core import MatrixFamily, Word, operator_norm, spectral_radius
+from .matrix_core import (MatrixFamily, Word, is_cyclic_canonical,
+                          operator_norm, spectral_radius)
 
 
 @dataclass(frozen=True)
@@ -189,7 +197,7 @@ def pruned_search(family: MatrixFamily, tol: float,
         nodes += len(children)
         # first pass: raise the lower bound with every new spectral value
         for word, prod in children:
-            if _is_cyclic_canonical(word):
+            if is_cyclic_canonical(word):
                 r = spectral_radius(prod)
                 val = scale * (r ** (1.0 / len(word)) if r > 0 else 0.0)
                 if val > lower * (1 + 1e-14):
@@ -213,8 +221,3 @@ def pruned_search(family: MatrixFamily, tol: float,
     ]
     upper = max([lower + tol] + frontier_vals)
     return BoundsBracket(lower, upper, best_word, depth, nodes, complete)
-
-
-def _is_cyclic_canonical(word: Word) -> bool:
-    n = len(word)
-    return all(word <= word[s:] + word[:s] for s in range(1, n))

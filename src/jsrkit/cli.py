@@ -44,8 +44,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="node budget for word-tree searches")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (recorded in the report)")
     p.add_argument("--transpose", action="store_true",
                    help="use the column-vector convention (transposes the family)")
     p.add_argument("--out", help="write the JSON run report here")
@@ -118,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_config(args) -> dict:
     cfg = {"depth": args.depth, "tol": args.tol, "budget": args.budget,
-           "seed": args.seed, "threads": args.threads,
-           "transpose": args.transpose, "version": _version()}
+           "seed": args.seed, "transpose": args.transpose,
+           "version": _version()}
     print("config: " + " ".join(f"{k}={v}" for k, v in cfg.items()))
     return cfg
 

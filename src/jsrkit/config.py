@@ -21,6 +21,3 @@ VERTEX_BUDGET = 10**4        # certification vertex cap
 GROWTH_THRESHOLD = 1e6       # boundedness probe escape level
 EXTREMALITY_TOL = 1e-6       # verdict tolerance for exact Lyapunov methods
 RENORM_EVERY = 32            # steps between running-product rescales
-
-# Env flag: set to "1" to force the pure-numpy kernel path.
-NO_NUMBA_ENV = "JSRKIT_NO_NUMBA"

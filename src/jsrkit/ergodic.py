@@ -19,7 +19,8 @@ from .config import (DEFAULT_DEPTH, DEFAULT_NODE_BUDGET, EXTREMALITY_TOL,
                      VERTEX_BUDGET)
 from .extremal import ComplexFamilyError, FinitenessCertificate, certify_finiteness
 from .matrix_core import (MatrixFamily, Word, averaged_spectral_value,
-                          operator_norm, spectral_radius, word_product)
+                          is_cyclic_canonical, operator_norm, spectral_radius,
+                          word_product)
 from .symbolic import (MarkovMeasure, PeriodicMeasure, PeriodicSequence,
                        ShiftMeasure, cylinder_probability, is_density_point,
                        support_words)
@@ -302,7 +303,7 @@ def _ranked_candidate_words(family: MatrixFamily, max_len: int,
                     break
                 nw = w + (c,)
                 nxt.append(nw)
-                if all(nw <= nw[s:] + nw[:s] for s in range(1, len(nw))):
+                if is_cyclic_canonical(nw):
                     scored.append((-averaged_spectral_value(family, nw),
                                    len(nw), nw))
         words = nxt

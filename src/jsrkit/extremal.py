@@ -108,14 +108,22 @@ def norm_value(cert: NormCertificate, x) -> float:
 
 
 def _gauge(vertices: np.ndarray, x: np.ndarray) -> float:
-    """min sum |c| subject to c @ vertices = x (inf if x is outside the span)."""
+    """min sum |c| subject to c @ vertices = x (inf if x is outside the span).
+
+    The gauge is positively homogeneous, so x is solved at max-abs 1 and the
+    optimum scaled back: HiGHS reads entries below its ~1e-7 feasibility
+    tolerance as 0, which would make tiny vectors look like the origin.
+    """
+    size = float(np.max(np.abs(x)))
+    if size == 0.0:
+        return 0.0
     m = vertices.shape[0]
     a_eq = np.hstack([vertices.T, -vertices.T])
-    res = linprog(np.ones(2 * m), A_eq=a_eq, b_eq=x,
+    res = linprog(np.ones(2 * m), A_eq=a_eq, b_eq=x / size,
                   bounds=(0, None), method="highs")
     if not res.success:
         return float("inf")
-    return float(res.fun)
+    return float(res.fun) * size
 
 
 def induced_norm(cert: NormCertificate, a: np.ndarray) -> float:

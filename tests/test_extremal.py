@@ -62,6 +62,14 @@ class TestNormValue:
         assert norm_value(SQUARE, c * x) == pytest.approx(
             abs(c) * norm_value(SQUARE, x), abs=1e-7, rel=1e-7)
 
+    def test_tiny_vector_is_not_zero(self):
+        # entries below the LP solver's feasibility tolerance must still count
+        x = np.array([0.0, 5.96e-8])
+        assert norm_value(SQUARE, x) == pytest.approx(5.96e-8, rel=1e-9)
+        assert norm_value(SQUARE, 2 * x) == pytest.approx(2 * norm_value(SQUARE, x),
+                                                          rel=1e-9)
+        assert norm_value(SQUARE, 0 * x) == 0.0
+
 
 class TestInducedNorm:
     def test_diagonal_under_l1(self):

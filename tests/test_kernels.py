@@ -1,49 +1,191 @@
-"""The numba and pure-numpy kernel paths must agree on complete runs."""
+"""The kernels against brute force over every word.
 
-import os
-import subprocess
-import sys
+The oracle enumerates words with ``itertools.product`` and evaluates each
+one on its own (``word_product``, ``operator_norm``, ``spectral_radius``,
+rotations spelled out), in complex arithmetic.  Ties go to the shortest,
+then lexicographically least, word whose value is within 1e-12 of the
+maximum.  Bounds may drift by rounding only; words, node counts and the
+completion flag must be identical.
+"""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 
-from jsrkit import _kernels
-from jsrkit.config import NO_NUMBA_ENV
+from jsrkit import MatrixFamily, _kernels
+from jsrkit.matrix_core import (is_cyclic_canonical, operator_norm,
+                                spectral_radius, word_product)
 
 from conftest import random_family
 
+REL = 1e-12
 
-def scan_both(mats, depth, budget=10**6, dedup=True):
-    a = _kernels.scan_words(np.ascontiguousarray(mats), depth, budget, dedup)
-    b = _kernels._scan_words_numpy(np.ascontiguousarray(mats), depth, budget, dedup)
-    return a, b
+
+def _first_near_max(scored, tie):
+    """(value, word) of the first entry within tie of the largest value."""
+    top = max(v for v, _ in scored)
+    return next((v, w) for v, w in scored if v >= top - tie)
+
+
+def brute_scan(mats, depth, budget=10**6, dedup=True):
+    fam = MatrixFamily(np.asarray(mats, dtype=np.complex128))
+    k = fam.size
+    max_rho = np.zeros(depth)
+    max_norm = np.zeros(depth)
+    rhos, lognorms = [], []  # (value, word), shortest then lexicographic
+    nodes, complete = 0, True
+    for n in range(1, depth + 1):
+        words = list(itertools.product(range(k), repeat=n))
+        if nodes + len(words) > budget:
+            complete = False
+            break
+        nodes += len(words)
+        for w in words:
+            p = word_product(fam, tuple(c + 1 for c in w))
+            nrm = operator_norm(p)
+            max_norm[n - 1] = max(max_norm[n - 1], nrm ** (1.0 / n))
+            lognorms.append((math.log(nrm) if nrm > 0.0 else -math.inf, w))
+            if dedup and any(w[s:] + w[:s] < w for s in range(1, n)):
+                continue
+            av = spectral_radius(p) ** (1.0 / n)
+            max_rho[n - 1] = max(max_rho[n - 1], av)
+            rhos.append((av, w))
+    best_val, best_word = _first_near_max(rhos, 1e-12 * max(max_rho.max(), 1.0))
+    bn_val, bn_word = _first_near_max(lognorms, 1e-12)
+    return max_rho, max_norm, best_val, best_word, bn_val, bn_word, nodes, complete
+
+
+def assert_matches_brute(mats, depth, budget=10**6, dedup=True):
+    mats = np.ascontiguousarray(np.asarray(mats, dtype=np.complex128))
+    (max_rho, max_norm, best_val, best_word, best_len,
+     bn_val, bn_word, bn_len, nodes, complete) = _kernels.scan_words(
+        mats, depth, budget, dedup)
+    (o_rho, o_norm, o_best_val, o_best_word, o_bn_val, o_bn_word,
+     o_nodes, o_complete) = brute_scan(mats, depth, budget, dedup)
+    assert nodes == o_nodes
+    assert bool(complete) == o_complete
+    np.testing.assert_allclose(max_rho, o_rho, rtol=REL, atol=0.0)
+    np.testing.assert_allclose(max_norm, o_norm, rtol=REL, atol=0.0)
+    assert tuple(best_word[:best_len]) == o_best_word
+    assert best_val == pytest.approx(o_best_val, rel=REL, abs=0.0)
+    assert tuple(bn_word[:bn_len]) == o_bn_word
+    assert bn_val == pytest.approx(o_bn_val, rel=REL, abs=REL)
+
+
+def complex_family(seed, k, d=3):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((k, d, d))
+            + 1j * rng.standard_normal((k, d, d))) / d
+
+
+DEPTH_FOR_K = {1: 8, 2: 7, 3: 5, 4: 4}
 
 
 class TestScanEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("dedup", [True, False])
     def test_per_depth_maxima_agree(self, seed, dedup):
-        mats = random_family(seed).mats
-        a, b = scan_both(mats, 5, dedup=dedup)
-        np.testing.assert_allclose(a[0], b[0], rtol=1e-10)  # max_rho
-        np.testing.assert_allclose(a[1], b[1], rtol=1e-10)  # max_norm
-        assert a[2] == pytest.approx(b[2], rel=1e-10)       # best value
-        assert a[8] == b[8]                                  # node count
-        assert bool(a[9]) and bool(b[9])
+        # real families, K = 1..4
+        k = seed + 1
+        mats = random_family(seed, k=k, d=2 + seed % 2).mats
+        assert_matches_brute(mats, DEPTH_FOR_K[k], dedup=dedup)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_best_word_agrees(self, seed):
-        mats = random_family(seed).mats
-        a, b = scan_both(mats, 5)
-        wa = tuple(a[3][:a[4]])
-        wb = tuple(b[3][:b[4]])
-        assert wa == wb
+        # complex families, K = 1..4
+        k = seed + 1
+        assert_matches_brute(complex_family(seed, k), DEPTH_FOR_K[k])
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_complex_without_dedup(self, k):
+        assert_matches_brute(complex_family(20 + k, k), DEPTH_FOR_K[k], dedup=False)
+
+    @pytest.mark.parametrize("seed", [6, 19, 25])
+    def test_rotation_ties_go_to_least_rotation(self, seed):
+        # without dedup every rotation of the best word ties exactly; on
+        # these families rounding puts a later rotation a few ulps ahead
+        mats = random_family(seed, k=2, d=3).mats
+        assert_matches_brute(mats, 5, dedup=False)
 
     def test_max_norm_word_agrees(self):
-        mats = random_family(11, k=3).mats
-        a, b = scan_both(mats, 4)
-        assert a[5] == pytest.approx(b[5], rel=1e-10)
-        assert tuple(a[6][:a[7]]) == tuple(b[6][:b[7]])
+        # unscaled, so the largest product norm sits at the deepest level
+        mats = random_family(11, k=3, scale=1.5).mats
+        assert_matches_brute(mats, 4)
+
+    @pytest.mark.parametrize("extra", [0, -1])
+    def test_budget_cut_at_level_boundary(self, extra):
+        # a budget of exactly levels 1..3 scans them; one node less stops
+        # after level 2
+        mats = random_family(5, k=3).mats
+        budget = 3 + 9 + 27 + extra
+        assert_matches_brute(mats, 5, budget=budget)
+        out = _kernels.scan_words(np.ascontiguousarray(mats), 5, budget, True)
+        assert out[8] == (39 if extra == 0 else 12) and not out[9]
+
+
+class TestScreenWorstCases:
+    @pytest.mark.parametrize("seed, cplx", [(0, False), (2, True)])
+    def test_equal_norms_nothing_screened(self, seed, cplx):
+        # scaled orthogonal/unitary letters: every word of a level has the
+        # same norm and spectral radius, so the whole level survives the
+        # screen and ties go to the first word (on these seeds rounding
+        # puts a later letter's norm a few ulps ahead)
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((3, 3, 3))
+        if cplx:
+            z = z + 1j * rng.standard_normal((3, 3, 3))
+        mats = 0.9 * np.stack([np.linalg.qr(m)[0] for m in z])
+        assert_matches_brute(mats, 5)
+        out = _kernels.scan_words(np.ascontiguousarray(mats, np.complex128),
+                                  5, 10**6, True)
+        assert tuple(out[3][:out[4]]) == (0,)
+        assert tuple(out[6][:out[7]]) == (0,)
+
+    def test_nilpotent_products_reach_zero(self):
+        # strictly upper triangular: every product of length >= 3 is 0
+        rng = np.random.default_rng(4)
+        mats = np.triu(rng.standard_normal((2, 3, 3)), k=1)
+        assert_matches_brute(mats, 6)
+        out = _kernels.scan_words(np.ascontiguousarray(mats, np.complex128),
+                                  6, 10**6, True)
+        assert np.all(out[1][2:] == 0.0) and np.all(out[0] == 0.0)
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_rank_one_frobenius_is_two_norm(self, cplx):
+        # every product is rank one, so ||P||_F == ||P||_2 and only the
+        # 1e-10 screen margin keeps rounding from dropping the maximizer
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal((3, 3))
+        v = rng.standard_normal((3, 3))
+        if cplx:
+            u = u + 1j * rng.standard_normal((3, 3))
+        mats = np.einsum("ki,kj->kij", u, v) / 3.0
+        assert_matches_brute(mats, 5)
+        assert_matches_brute(mats, 5, dedup=False)
+
+    def test_tiny_products_are_not_screened(self):
+        # the squares summed into ||P||_F underflow to 0 at depth 4; below
+        # the screen floor every word is checked instead
+        mats = 1e-50 * random_family(8, k=2, d=3).mats
+        assert_matches_brute(mats, 4)
+
+
+class TestCanonicalMask:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_helper_agrees_with_mask(self, k, n):
+        expected = [is_cyclic_canonical(w)
+                    for w in itertools.product(range(k), repeat=n)]
+        assert _kernels.canonical_mask(k, n).tolist() == expected
+
+
+def _direct_log_norm(mats, path):
+    prod = np.eye(mats.shape[1], dtype=np.complex128)
+    for c in path:
+        prod = prod @ mats[c]
+    return math.log(operator_norm(prod))
 
 
 class TestPathEquivalence:
@@ -53,36 +195,18 @@ class TestPathEquivalence:
         mats = np.ascontiguousarray(
             rng.standard_normal((2, 2, 2)).astype(np.complex128))
         paths = rng.integers(0, 2, size=(8, 100))
-        a = _kernels.path_log_norms(mats, paths)
-        b = _kernels._path_log_norms_numpy(mats, paths)
-        np.testing.assert_allclose(a, b, rtol=1e-10)
+        got = _kernels.path_log_norms(mats, paths)
+        want = [_direct_log_norm(mats, p) / paths.shape[1] for p in paths]
+        np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_power_log_norms(self):
         mat = np.ascontiguousarray(
             np.array([[1.0, 1.0], [0.0, 0.9]], dtype=np.complex128))
-        a = _kernels.power_log_norms(mat, 80)
-        b = _kernels._power_log_norms_numpy(mat, 80)
-        np.testing.assert_allclose(a, b, rtol=1e-10)
+        got = _kernels.power_log_norms(mat, 80)
+        want = [_direct_log_norm(mat[None], [0] * n) for n in range(1, 81)]
+        np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_zero_matrix_neg_inf(self):
         mat = np.zeros((2, 2), dtype=np.complex128)
         a = _kernels.power_log_norms(mat, 5)
         assert np.all(np.isneginf(a))
-
-
-class TestEnvFlag:
-    def test_numpy_path_selectable(self):
-        env = dict(os.environ, **{NO_NUMBA_ENV: "1"})
-        code = ("import jsrkit._kernels as k; "
-                "assert not k.USE_NUMBA; "
-                "import numpy as np; from jsrkit import bounds_bracket, MatrixFamily; "
-                "fam = MatrixFamily.from_matrices("
-                "[[[1,1],[0,1]],[[1,0],[1,1]]]); "
-                "b = bounds_bracket(fam, 10); "
-                "phi = (1 + 5 ** 0.5) / 2; "
-                "assert abs(b.lower - phi) < 1e-9, b.lower; "
-                "print('ok')")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=300)
-        assert out.returncode == 0, out.stderr
-        assert "ok" in out.stdout
