@@ -1,27 +1,25 @@
-"""Hot numeric kernels: word-tree scans and matrix-product path sums.
+"""Hot numeric kernels: level-batched word walks and matrix-product path sums.
 
-Everything here is vectorized numpy; there is one implementation of each
-kernel.  ``scan_words`` walks the word tree one level at a time, forming
-all K^n products of a level as one batched matmul.  Only the per-level
-maxima of the spectral radius and the operator norm are wanted, so the
-expensive batched SVD and ``eigvals`` run on a screened subset, and the
-screen is exact:
+Everything here is vectorized numpy, one implementation of each kernel.
+Every word walk goes one level at a time through one frontier step,
+``children``: all children of a level come from one batched matmul
+``prods[:, None] @ mats[None]``, parent-major and letter-minor, so a level
+is in lexicographic order.  Walks that keep only part of a level carry
+their words as (m, n) letter arrays from ``child_words`` (the pruned
+search and the candidate ranking beside their products, the support walk
+of a measure on its own) and test canonical rotation on them with
+``canonical_rows``.
 
-* rho(P) <= ||P||_2 <= ||P||_F for every product P, and the Frobenius
-  norms of a whole level cost one reduction.  A word whose ||P||_F lies
-  below a value that some word of the level attains (the 2-norm, or the
-  spectral radius, of the word with the largest Frobenius norm) cannot
-  hold the maximum, so it is skipped.  The 1e-10 relative margin covers
-  rounding in the computed norms.
-* Every word that can attain the maximum survives the screen, and the
-  argmax is taken over survivors in index (= lexicographic) order, so the
-  first maximizer is the same word an unscreened scan would pick.
-
-Real families (every imaginary part exactly 0) run in float64.  Words of
-length n are carried as their base-K indices c = 0..K^n-1 in lexicographic
-order, and only the winners are decoded to digits.
-
-Letters are 0-based here; the public API uses 1-based words.
+``scan_words`` keeps every word.  It carries a level of length n as the
+base-K indices c = 0..K^n-1 (canonical words come from the integer
+``canonical_mask``) and wants only per-level maxima, so batched SVD and
+``eigvals`` run on an exact screen: rho(P) <= ||P||_2 <= ||P||_F, so a
+word whose Frobenius norm lies below the value (2-norm or spectral
+radius) of the word with the largest Frobenius norm cannot hold the
+maximum.  The 1e-10 margin covers rounding, and the argmax over the
+survivors in lexicographic order is the first maximizer an unscreened
+scan would pick.  Real families (every imaginary part exactly 0) run in
+float64.  Letters are 0-based here; the public API uses 1-based words.
 """
 
 from __future__ import annotations
@@ -41,6 +39,25 @@ _LOG_TIE = 1e-12
 _SCREEN_FLOOR = 1e-140
 
 
+def real_if_exact(mats):
+    """The stack in float64 when every imaginary part is exactly 0."""
+    if not np.any(mats.imag):
+        return np.ascontiguousarray(mats.real)
+    return mats
+
+
+def children(prods, mats):
+    """The frontier step: every product times every letter, in order."""
+    m = prods.shape[0] * mats.shape[0]
+    return (prods[:, None] @ mats[None]).reshape(m, *mats.shape[1:])
+
+
+def child_words(words, k):
+    """The letter array of ``children``: each row extended by 0..k-1."""
+    letters = np.tile(np.arange(k), words.shape[0])
+    return np.column_stack([np.repeat(words, k, axis=0), letters])
+
+
 def canonical_mask(k: int, n: int) -> np.ndarray:
     """Mask over the words of length n (as base-k indices, lexicographic
     order) that are lexicographically <= every cyclic rotation of
@@ -54,6 +71,18 @@ def canonical_mask(k: int, n: int) -> np.ndarray:
     return mask
 
 
+def canonical_rows(words: np.ndarray) -> np.ndarray:
+    """``canonical_mask`` for the rows of an (m, n) letter array: a row and
+    its rotation compare at the first column where they differ."""
+    rows = np.arange(words.shape[0])
+    mask = np.ones(rows.size, bool)
+    for s in range(1, words.shape[1]):
+        rot = np.roll(words, -s, axis=1)
+        first = (words != rot).argmax(axis=1)
+        mask &= words[rows, first] <= rot[rows, first]
+    return mask
+
+
 def _digits(code: int, k: int, n: int) -> np.ndarray:
     out = np.zeros(n, np.int64)
     for i in range(n - 1, -1, -1):
@@ -61,19 +90,26 @@ def _digits(code: int, k: int, n: int) -> np.ndarray:
     return out
 
 
-def _first_near_max(values, tie):
+def first_near_max(values, tie):
     """First index whose value is within ``tie`` of the maximum: rounding
     must not decide between words of mathematically equal value (cyclic
     rotations, reversed words of a symmetric family, orthogonal letters)."""
     return int(np.argmax(values >= values.max() - tie))
 
 
-def _two_norms(prods):
+def two_norms(prods):
     return np.linalg.svd(prods, compute_uv=False)[:, 0]
 
 
-def _spectral_radii(prods):
+def spectral_radii(prods):
     return np.abs(np.linalg.eigvals(prods)).max(axis=1)
+
+
+def frobenius(prods):
+    flat = prods.reshape(prods.shape[0], -1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 def _screened(values_of, prods, fro, candidates):
@@ -87,6 +123,16 @@ def _screened(values_of, prods, fro, candidates):
     return candidates, values_of(prods[candidates])
 
 
+def level_witness(prods, fro, candidates, n):
+    """(index, value, level maximum): the first candidate whose averaged
+    value rho(P)^(1/n) is within 1e-12 of the largest on this level."""
+    kept, rhos = _screened(spectral_radii, prods, fro, candidates)
+    avs = rhos ** (1.0 / n)
+    top = float(avs.max())
+    j = first_near_max(avs, 1e-12 * max(top, 1.0))
+    return int(kept[j]), float(avs[j]), top
+
+
 def scan_words(mats, depth, node_budget, dedup):
     """Exhaustive scan over all words of length 1..depth, level by level.
 
@@ -97,8 +143,7 @@ def scan_words(mats, depth, node_budget, dedup):
     is scanned only when it fits in the remaining node budget.
     """
     K, d, _ = mats.shape
-    if not np.any(mats.imag):
-        mats = np.ascontiguousarray(mats.real)
+    mats = real_if_exact(mats)
     max_rho = np.zeros(depth)
     max_norm = np.zeros(depth)
     best_val = -1.0
@@ -115,35 +160,28 @@ def scan_words(mats, depth, node_budget, dedup):
         if nodes + m > node_budget:
             completed = False
             break
-        # children in lexicographic order: parent-major, letter-minor
-        prods = (prods[:, None] @ mats[None]).reshape(m, d, d)
+        prods = children(prods, mats)
         nodes += m
-        flat = prods.reshape(m, -1)
-        if np.iscomplexobj(flat):
-            flat = flat.view(np.float64)
-        fro = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        fro = frobenius(prods)
         everything = np.arange(m)
 
-        kept, norms = _screened(_two_norms, prods, fro, everything)
+        kept, norms = _screened(two_norms, prods, fro, everything)
         top = float(norms.max())
         max_norm[n - 1] = top ** (1.0 / n) if top > 0.0 else 0.0
         with np.errstate(divide="ignore"):
             lognorms = np.where(norms > 0.0, np.log(norms), -np.inf)
-        i = _first_near_max(lognorms, _LOG_TIE)
+        i = first_near_max(lognorms, _LOG_TIE)
         if lognorms[i] > bn_val + _LOG_TIE:
             bn_val = float(lognorms[i])
             bn_len = n
             bn_word[:n] = _digits(int(kept[i]), K, n)
 
         canon = np.flatnonzero(canonical_mask(K, n)) if dedup else everything
-        kept, rhos = _screened(_spectral_radii, prods, fro, canon)
-        avs = np.where(rhos > 0.0, rhos ** (1.0 / n), 0.0)
-        max_rho[n - 1] = avs.max()
-        j = _first_near_max(avs, 1e-12 * max(max_rho[n - 1], 1.0))
-        if avs[j] > best_val + 1e-12 * max(best_val, 1.0):
-            best_val = float(avs[j])
+        j, val, max_rho[n - 1] = level_witness(prods, fro, canon, n)
+        if val > best_val + 1e-12 * max(best_val, 1.0):
+            best_val = val
             best_len = n
-            best_word[:n] = _digits(int(kept[j]), K, n)
+            best_word[:n] = _digits(j, K, n)
     return (max_rho, max_norm, best_val, best_word, best_len,
             bn_val, bn_word, bn_len, nodes, completed)
 
@@ -151,45 +189,19 @@ def scan_words(mats, depth, node_budget, dedup):
 def path_log_norms(mats, paths):
     """Per-path (1/L) log ||S_{i_1} ... S_{i_L}|| with running rescaling."""
     n_paths, length = paths.shape
-    K, d, _ = mats.shape
-    prods = np.broadcast_to(np.eye(d, dtype=np.complex128),
-                            (n_paths, d, d)).copy()
+    prods = np.eye(mats.shape[1], dtype=np.complex128)[None]
     acc = np.zeros(n_paths)
     dead = np.zeros(n_paths, bool)
     for t in range(length):
-        col = paths[:, t]
-        for k in range(K):
-            sel = col == k
-            if sel.any():
-                prods[sel] = prods[sel] @ mats[k]
+        prods = prods @ mats[paths[:, t]]
         if (t + 1) % RENORM_EVERY == 0:
-            f = np.sqrt((np.abs(prods) ** 2).sum(axis=(1, 2)))
+            f = frobenius(prods)
             dead |= f == 0.0
             f[dead] = 1.0
             prods /= f[:, None, None]
-            with np.errstate(divide="ignore"):
-                acc += np.where(dead, 0.0, np.log(f))
+            acc += np.log(f)
     sv = np.linalg.svd(prods, compute_uv=False)[:, 0]
     with np.errstate(divide="ignore"):
         out = (acc + np.where(sv > 0.0, np.log(sv), -np.inf)) / length
     out[dead] = -np.inf
-    return out
-
-
-def power_log_norms(mat, steps):
-    """log ||A^n|| for n = 1..steps, overflow-safe."""
-    d = mat.shape[0]
-    prod = np.eye(d, dtype=np.complex128)
-    out = np.empty(steps)
-    acc = 0.0
-    for t in range(steps):
-        prod = prod @ mat
-        f = np.linalg.norm(prod)
-        if f == 0.0:
-            out[t:] = -np.inf
-            return out
-        prod /= f
-        acc += np.log(f)
-        sv = np.linalg.svd(prod, compute_uv=False)[0]
-        out[t] = acc + (np.log(sv) if sv > 0.0 else -np.inf)
     return out

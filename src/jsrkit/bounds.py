@@ -6,12 +6,16 @@ smallest per-depth maximum of nth-root product norms (a true upper bound
 by submultiplicativity).  ``pruned_search`` narrows the bracket with a
 Gripenberg-style branch-and-bound instead of exhausting every depth.
 
-The exhaustive scan (numpy only, ``_kernels.scan_words``) needs just the
-maximum of each level, so it takes singular values and eigenvalues only
-of the words whose Frobenius norm reaches a value some word of the level
-attains.  That screen is exact because rho(P) <= ||P||_2 <= ||P||_F, and
-the first maximizer in lexicographic order survives it, so the tie rules
-below are those of a scan of every word.
+Both walk the word tree level by level through the batched frontier step
+of ``_kernels``; the exhaustive scan (``_kernels.scan_words``) takes
+singular values and eigenvalues only where an exact Frobenius-norm screen
+says the level maximum can be.
+
+Tie rule, shared by both: values are compared on the family divided by
+its scale, so a rescaled family decides the same way.  A level's witness
+is its first word, lexicographically, within 1e-12 of the level maximum,
+and a deeper level replaces the witness only if it beats it by more than
+that.  Ties go to the shorter word, then to the lexicographically first.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .config import DEFAULT_NODE_BUDGET
-from .matrix_core import (MatrixFamily, Word, is_cyclic_canonical,
-                          operator_norm, spectral_radius)
+from .matrix_core import MatrixFamily, Word
 
 
 @dataclass(frozen=True)
@@ -170,54 +173,45 @@ def pruned_search(family: MatrixFamily, tol: float,
     returned lower is always an attained averaged spectral value; the
     returned upper is max(lower + tol, best frontier value), a true upper
     bound by the block-factorization argument.
+
+    Each level expands the whole frontier in one batched matmul, raises
+    the lower bound by the level's spectral witness among its canonical
+    words (under the tie rule above), then cuts every child whose
+    averaged norm is <= lower + tol.  The search stops after the level
+    whose node count reaches ``node_budget``, and is complete only if the
+    frontier ran out first.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
     scale = family.scale
     if scale == 0.0:
         return BoundsBracket(0.0, 0.0, (1,), 1, family.size, True)
     # work on the rescaled family so products stay near magnitude 1
-    mats = family.mats / scale
-    k = family.size
-    d = family.dim
-
-    lower = 0.0
-    best_word: Word = (1,)
-    nodes = 0
-    # frontier entries: (word tuple 1-based, product of rescaled mats)
-    frontier = [((), np.eye(d, dtype=np.complex128))]
-    depth = 0
-    complete = True
-    while frontier and depth < max_depth:
+    mats = _kernels.real_if_exact(family.mats / scale)
+    prods = np.eye(family.dim, dtype=mats.dtype)[None]
+    words = np.zeros((1, 0), np.int64)
+    best_val, best_word = -1.0, words
+    nodes = depth = 0
+    while prods.shape[0] and depth < max_depth:
         depth += 1
-        children = []
-        for word, prod in frontier:
-            for c in range(1, k + 1):
-                children.append((word + (c,), prod @ mats[c - 1]))
-        nodes += len(children)
-        # first pass: raise the lower bound with every new spectral value
-        for word, prod in children:
-            if is_cyclic_canonical(word):
-                r = spectral_radius(prod)
-                val = scale * (r ** (1.0 / len(word)) if r > 0 else 0.0)
-                if val > lower * (1 + 1e-14):
-                    lower = val
-                    best_word = word
-        # second pass: prune with the final lower bound of this level
-        cut = lower + tol
-        frontier = []
-        for word, prod in children:
-            nval = scale * operator_norm(prod) ** (1.0 / len(word))
-            if nval > cut:
-                frontier.append((word, prod))
+        prods = _kernels.children(prods, mats)
+        words = _kernels.child_words(words, family.size)
+        nodes += prods.shape[0]
+        canon = np.flatnonzero(_kernels.canonical_rows(words))
+        if canon.size:
+            j, val, _ = _kernels.level_witness(
+                prods, _kernels.frobenius(prods), canon, depth)
+            if val > best_val + 1e-12 * max(best_val, 1.0):
+                best_val, best_word = val, words[j]
+        lower = scale * best_val
+        norms = scale * _kernels.two_norms(prods) ** (1.0 / depth)
+        keep = norms > lower + tol
+        prods, words, norms = prods[keep], words[keep], norms[keep]
         if nodes >= node_budget:
-            complete = False
             break
-    if frontier:
-        complete = False
-    frontier_vals = [
-        scale * operator_norm(prod) ** (1.0 / len(word))
-        for word, prod in frontier
-    ]
-    upper = max([lower + tol] + frontier_vals)
-    return BoundsBracket(lower, upper, best_word, depth, nodes, complete)
+    complete = not prods.shape[0] and nodes < node_budget
+    upper = float(np.max(norms, initial=lower + tol))
+    return BoundsBracket(lower, upper, tuple(int(c) + 1 for c in best_word),
+                         depth, nodes, complete)

@@ -19,11 +19,9 @@ from .config import (DEFAULT_DEPTH, DEFAULT_NODE_BUDGET, EXTREMALITY_TOL,
                      VERTEX_BUDGET)
 from .extremal import ComplexFamilyError, FinitenessCertificate, certify_finiteness
 from .matrix_core import (MatrixFamily, Word, averaged_spectral_value,
-                          is_cyclic_canonical, operator_norm, spectral_radius,
-                          word_product)
+                          spectral_radius, word_product)
 from .symbolic import (MarkovMeasure, PeriodicMeasure, PeriodicSequence,
-                       ShiftMeasure, cylinder_probability, is_density_point,
-                       support_words)
+                       ShiftMeasure, is_density_point, support_walk)
 
 
 @dataclass(frozen=True)
@@ -50,21 +48,17 @@ def lyapunov_exact_finite(family: MatrixFamily, mu: ShiftMeasure, n: int,
     cheap at large n.  These values are nonincreasing along n, 2n, 4n, ...
     and converge to the Lyapunov exponent from above (subadditivity).
     """
-    words = support_words(mu, n)
+    words, probs = support_walk(mu, n)
     if len(words) > word_budget:
         raise SupportTooLargeError(
             f"{len(words)} support words at n={n} exceed the budget "
             f"{word_budget}; use lyapunov_monte_carlo")
-    total = 0.0
-    for w in sorted(words):
-        prob = cylinder_probability(mu, w)
-        if prob <= 0.0:
-            continue
-        norm = operator_norm(word_product(family, w))
-        if norm == 0.0:
-            return LyapunovEstimate(-math.inf, "exact-finite-n", n)
-        total += prob * math.log(norm)
-    return LyapunovEstimate(total / n, "exact-finite-n", n)
+    # a zero product (or family) has log norm -inf, and then so has the sum
+    scale = family.scale or 1.0
+    live = probs > 0.0
+    mats = np.ascontiguousarray(family.mats / scale)
+    logs = _kernels.path_log_norms(mats, words[live]) + math.log(scale)
+    return LyapunovEstimate(float(probs[live] @ logs), "exact-finite-n", n)
 
 
 def lyapunov_periodic(family: MatrixFamily, xi: PeriodicSequence) -> LyapunovEstimate:
@@ -144,28 +138,27 @@ def extremality_verdict(family: MatrixFamily, mu: ShiftMeasure,
     """Is the measure's Lyapunov exponent equal to log JSR?
 
     Periodic measures get the exact periodic value; Markov measures get
-    the exact finite-n average at the largest affordable n, refined by
-    monte-carlo when mc_samples > 0.  The verdict never outruns the JSR
-    bracket: if the bracket is wider than the decision gap the result is
-    "undetermined", a first-class outcome.
+    the exact finite-n average at the largest affordable n, or a seeded
+    Monte Carlo estimate instead when mc_samples > 0.  The verdict never
+    outruns the JSR bracket: if the bracket is wider than the decision gap
+    the result is "undetermined", a first-class outcome.
     """
     bracket = bounds_bracket(family, depth, node_budget)
     err = 0.0
+    tol_eff = EXTREMALITY_TOL if tol is None else tol
     if isinstance(mu, PeriodicMeasure):
         lyap = lyapunov_periodic(family, mu.base)
-        tol_eff = EXTREMALITY_TOL if tol is None else tol
+    elif mc_samples > 0:
+        lyap = lyapunov_monte_carlo(family, mu, mc_samples, mc_length, seed)
+        err = 3.0 * lyap.stderr
+        if tol is None:
+            tol_eff = err
     else:
         if exact_n is None:
             exact_n = 1
             while mu.alphabet_size ** (exact_n + 1) <= 4096 and exact_n < 12:
                 exact_n += 1
         lyap = lyapunov_exact_finite(family, mu, exact_n)
-        tol_eff = EXTREMALITY_TOL if tol is None else tol
-        if mc_samples > 0:
-            lyap = lyapunov_monte_carlo(family, mu, mc_samples, mc_length, seed)
-            err = 3.0 * lyap.stderr
-            if tol is None:
-                tol_eff = err
     log_lower = _log_or_neginf(bracket.lower)
     log_upper = _log_or_neginf(bracket.upper)
     lv = lyap.value
@@ -290,27 +283,33 @@ class CorollaryReport:
 def _ranked_candidate_words(family: MatrixFamily, max_len: int,
                             limit: int = 5, node_cap: int = 5000) -> list[Word]:
     """Short words ranked by averaged spectral value (cyclic duplicates
-    dropped), used as certification candidates."""
-    scored: list[tuple[float, int, Word]] = []
-    words: list[Word] = [()]
+    dropped), used as certification candidates.  The walk stops after
+    ``node_cap`` words, part way through a level if need be; values within
+    1e-12 tie, and ties go to the shorter, then the lexicographically
+    first, word."""
+    mats = _kernels.real_if_exact(family.mats / (family.scale or 1.0))
+    prods = np.eye(family.dim, dtype=mats.dtype)[None]
+    words = np.zeros((1, 0), np.int64)
+    found, values = [], []  # words padded with -1 to max_len, values
     nodes = 0
-    for _ in range(max_len):
-        nxt = []
-        for w in words:
-            for c in range(1, family.size + 1):
-                nodes += 1
-                if nodes > node_cap:
-                    break
-                nw = w + (c,)
-                nxt.append(nw)
-                if is_cyclic_canonical(nw):
-                    scored.append((-averaged_spectral_value(family, nw),
-                                   len(nw), nw))
-        words = nxt
-        if nodes > node_cap:
+    for n in range(1, max_len + 1):
+        prods = _kernels.children(prods, mats)[:node_cap - nodes]
+        words = _kernels.child_words(words, family.size)[:node_cap - nodes]
+        nodes += len(words)
+        canon = _kernels.canonical_rows(words)
+        found.append(np.pad(words[canon], ((0, 0), (0, max_len - n)),
+                            constant_values=-1))
+        values.append(_kernels.spectral_radii(prods[canon]) ** (1.0 / n))
+        if nodes == node_cap:
             break
-    scored.sort()
-    return [w for _, _, w in scored[:limit]]
+    found, values = np.concatenate(found), np.concatenate(values)
+    tie = 1e-12 * max(float(values.max()), 1.0)
+    ranked = []
+    for _ in range(min(limit, values.size)):
+        i = _kernels.first_near_max(values, tie)
+        values[i] = -1.0
+        ranked.append(tuple(int(c) + 1 for c in found[i] if c >= 0))
+    return ranked
 
 
 def corollary_reports(family: MatrixFamily, mu: MarkovMeasure,

@@ -184,32 +184,23 @@ def boundedness_probe(family: MatrixFamily, depth: int,
         raise ValueError("depth must be >= 1")
     log_thresh = float(np.log(growth_threshold))
     k = family.size
-    if k == 1:
-        lognorms = _kernels.power_log_norms(
-            np.ascontiguousarray(family.mats[0]), depth)
-        n_eff = depth
-        max_log = float(np.max(lognorms))
-        witness_len = int(np.argmax(lognorms)) + 1
-        witness = (1,) * witness_len
-        running = np.maximum.accumulate(lognorms)
-    else:
-        n_eff = 0
-        total = 0
-        while n_eff < depth:
-            total += k ** (n_eff + 1)
-            if total > node_budget:
-                break
-            n_eff += 1
-        if n_eff < 1:
-            raise ValueError("node budget too small for even depth 1")
-        mats = np.ascontiguousarray(family.mats)
-        (_, max_norm, _, _, _, bn_val, bn_word, bn_len, _, _) = _kernels.scan_words(
-            mats, n_eff, node_budget + k, True)
-        with np.errstate(divide="ignore"):
-            lognorms = np.arange(1, n_eff + 1) * np.log(max_norm)
-        max_log = float(bn_val)
-        witness = tuple(int(c) + 1 for c in bn_word[:bn_len])
-        running = np.maximum.accumulate(lognorms)
+    n_eff = 0
+    total = 0
+    while n_eff < depth:
+        total += k ** (n_eff + 1)
+        if total > node_budget:
+            break
+        n_eff += 1
+    if n_eff < 1:
+        raise ValueError("node budget too small for even depth 1")
+    mats = np.ascontiguousarray(family.mats)
+    (_, max_norm, _, _, _, bn_val, bn_word, bn_len, _, _) = _kernels.scan_words(
+        mats, n_eff, node_budget + k, True)
+    with np.errstate(divide="ignore"):
+        lognorms = np.arange(1, n_eff + 1) * np.log(max_norm)
+    max_log = float(bn_val)
+    witness = tuple(int(c) + 1 for c in bn_word[:bn_len])
+    running = np.maximum.accumulate(lognorms)
     if max_log > log_thresh:
         return ProbeResult("unbounded", max_log, n_eff, witness)
     if n_eff >= 4:
@@ -241,31 +232,26 @@ def _best_rotation(mats_real: np.ndarray, word: Word) -> tuple[Word, np.ndarray]
     """Cyclic rotation of the word whose product has the cleanest leading
     eigenpair: simple, real, positive.  Returns a reason string on failure."""
     n = len(word)
-    best = None
-    best_gap = -1.0
-    for s in range(n):
-        rot = word[s:] + word[:s]
-        prod = np.eye(mats_real.shape[1])
-        for c in rot:
-            prod = prod @ mats_real[c - 1]
-        ev = np.linalg.eigvals(prod)
-        order = np.argsort(-np.abs(ev))
-        lead = ev[order[0]]
-        mag = abs(lead)
-        if mag <= 0.0:
-            return "leading eigenvalue of the word product is zero"
-        second = abs(ev[order[1]]) if ev.size > 1 else 0.0
-        gap = (mag - second) / mag
-        if abs(lead.imag) > 1e-9 * mag or lead.real <= 0:
-            continue
-        if gap > best_gap + 1e-15:
-            best_gap = gap
-            best = (rot, prod)
-    if best is None:
+    rots = (np.arange(n)[:, None] + np.arange(n)) % n  # rotation s starts at s
+    letters = np.asarray(word)[rots] - 1
+    prods = np.eye(mats_real.shape[1])[None]
+    for t in range(n):
+        prods = prods @ mats_real[letters[:, t]]
+    ev = np.linalg.eigvals(prods)
+    ev = np.take_along_axis(ev, np.argsort(-np.abs(ev), axis=1), axis=1)
+    mag = np.abs(ev[:, 0])
+    if mag[0] <= 0.0:
+        return "leading eigenvalue of the word product is zero"
+    second = np.abs(ev[:, 1]) if ev.shape[1] > 1 else 0.0
+    gap = (mag - second) / mag
+    usable = np.flatnonzero((np.abs(ev[:, 0].imag) <= 1e-9 * mag)
+                            & (ev[:, 0].real > 0))
+    if not usable.size:
         return "no cyclic rotation has a simple real-positive leading eigenvalue"
-    if best_gap <= 1e-12:
+    s = usable[_kernels.first_near_max(gap[usable], 1e-15)]
+    if gap[s] <= 1e-12:
         return "leading eigenvalue is (numerically) not simple"
-    return best
+    return word[s:] + word[:s], prods[s]
 
 
 def certify_finiteness(family: MatrixFamily, word: Word,
@@ -276,9 +262,13 @@ def certify_finiteness(family: MatrixFamily, word: Word,
     vertex set with the leading left eigenvector of the scaled word
     product, and closes the set under the generators: every image that
     escapes the current balanced hull becomes a new vertex.  If the
-    closure terminates, the polytope gauge is an extremal norm and the
-    JSR equals the candidate value; budget exhaustion is reported as
-    inconclusive, never as a false certificate.
+    closure terminates, the polytope gauge is an extremal norm and the JSR
+    equals the candidate value.  A closed vertex set that spans only an
+    invariant subspace bounds the family on that subspace alone: it is
+    completed by short vertices along the orthogonal complement, and
+    unless the generators map those into the completed polytope the
+    answer is inconclusive ("polytope spans an invariant subspace of dim
+    r"), as is budget exhaustion: never a false certificate.
     """
     if len(word) < 1:
         raise ValueError("certification needs a non-empty word")
@@ -330,7 +320,22 @@ def certify_finiteness(family: MatrixFamily, word: Word,
                 continue
             vertices.append(u)
             queue.append(u)
+    # every right singular vector, without an m x m left factor
+    _, sv, vh = np.linalg.svd(vertices, full_matrices=len(vertices) < family.dim)
+    rank = int(np.sum(sv > 1e-12 * sv[0]))  # as in NormCertificate.spans
+    if rank < family.dim:
+        # the closed set spans an invariant subspace only: short vertices
+        # along its orthogonal complement make a polytope that spans, and
+        # that is still invariant if the generators map them into it
+        extra = 1e-3 * vh[rank:]
+        vertices = np.vstack([vertices, extra])
+        gauges = [_gauge(vertices, u @ m) for u in extra for m in mats]
+        if max(gauges) > 1.0 + MEMBERSHIP_TOL:
+            return FinitenessCertificate(
+                word, rho_cand, "inconclusive",
+                reason=f"polytope spans an invariant subspace of dim {rank}")
+        max_gauge = max([max_gauge] + gauges)
     cert = NormCertificate(
-        dim=family.dim, kind="polytope", vertices=np.array(vertices),
+        dim=family.dim, kind="polytope", vertices=vertices,
         margin=max(0.0, 1.0 - max_gauge), status="verified")
     return FinitenessCertificate(word, rho_cand, "certified", certificate=cert)

@@ -109,15 +109,6 @@ def check_word(family: MatrixFamily, word: Word) -> None:
             raise IndexError(f"letter {letter} out of range 1..{family.size}")
 
 
-def is_cyclic_canonical(word: Word) -> bool:
-    """Is the word lexicographically <= every cyclic rotation of itself?
-
-    Spectral radius is invariant under rotation of a word, so scans over
-    words keep only this representative of each rotation class.
-    """
-    return all(word <= word[s:] + word[:s] for s in range(1, len(word)))
-
-
 def word_product(family: MatrixFamily, word: Word) -> np.ndarray:
     """S_{i_1} S_{i_2} ... S_{i_n}, multiplied left-to-right; empty word -> identity."""
     check_word(family, word)

@@ -74,12 +74,16 @@ def algebra_closure(family: MatrixFamily) -> AlgebraResult:
     return AlgebraResult(len(basis), basis, uncertain, worst)
 
 
-def algebra_dimension(family: MatrixFamily) -> int:
+def _certain_closure(family: MatrixFamily) -> AlgebraResult:
     res = algebra_closure(family)
     if res.uncertain:
         raise ToleranceConflictError(
             f"rank decision ambiguous near tolerance (gap factor {res.worst_ratio:.2g})")
-    return res.dimension
+    return res
+
+
+def algebra_dimension(family: MatrixFamily) -> int:
+    return _certain_closure(family).dimension
 
 
 def is_irreducible(family: MatrixFamily) -> bool:
@@ -108,10 +112,16 @@ def find_invariant_subspace(family: MatrixFamily, seed: int = 0,
     before being returned.  Returns None only when the family is
     (numerically) irreducible.
     """
-    d = family.dim
     alg = algebra_closure(family)
-    if alg.dimension == d * d:
+    if alg.dimension == family.dim ** 2:
         return None
+    return _split(family, alg, seed, attempts)
+
+
+def _split(family: MatrixFamily, alg: AlgebraResult, seed: int,
+           attempts: int = 8) -> np.ndarray:
+    # find_invariant_subspace, given a closure that is not the full algebra
+    d = family.dim
     rng = np.random.default_rng(seed)
 
     def try_vector(v: np.ndarray) -> np.ndarray | None:
@@ -195,15 +205,15 @@ def _encode_complex(a: np.ndarray) -> list:
 def block_triangularize(family: MatrixFamily, seed: int = 0) -> ReductionResult:
     """Recursively split along invariant subspaces until every diagonal
     block is irreducible.  The assembled transform is unitary (nested
-    orthonormal completions), so it is as well-conditioned as possible."""
+    orthonormal completions), so it is as well-conditioned as possible.
+    One algebra closure per split decides irreducibility (raising
+    ToleranceConflictError when uncertain) and seeds the subspace search."""
     d = family.dim
-    if d == 1 or is_irreducible(family):
+    alg = None if d == 1 else _certain_closure(family)
+    if alg is None or alg.dimension == d * d:  # irreducible
         return ReductionResult(family, np.eye(d, dtype=np.complex128),
                                (d,), (family,))
-    w = find_invariant_subspace(family, seed=seed)
-    if w is None:  # irreducible after all
-        return ReductionResult(family, np.eye(d, dtype=np.complex128),
-                               (d,), (family,))
+    w = _split(family, alg, seed)
     m = w.shape[0]
     _, _, vh = np.linalg.svd(w)
     p_inv = vh  # first m rows span the invariant subspace

@@ -13,6 +13,7 @@ from typing import Union
 
 import numpy as np
 
+from ._kernels import child_words
 from .config import ROW_STOCHASTIC_TOL, STATIONARITY_TOL, ZERO_PROB_TOL
 from .matrix_core import Word
 
@@ -205,26 +206,36 @@ def is_density_point(mu: ShiftMeasure, xi: PeriodicSequence,
     return DensityVerdict(member, "orbit-membership", detail)
 
 
-def support_words(mu: ShiftMeasure, n: int) -> set[Word]:
-    """All words w of length n with positive cylinder probability.
+def support_walk(mu: ShiftMeasure, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The support words of length n as an (m, n) array of 0-based letters
+    in lexicographic order, with their cylinder probabilities.
 
-    Enumerated structurally: positive-transition walks for Markov
-    measures, orbit prefixes for periodic ones.  Never scans all K^n words.
+    A Markov walk extends each level by every letter and keeps the
+    transitions above ZERO_PROB_TOL, multiplying the probability by
+    P[last, c]; a periodic measure takes its orbit's prefixes, weighted by
+    hits / period.  Never scans all K^n words.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(mu, PeriodicMeasure):
-        return {s.prefix(n) for s in mu.base.orbit()}
+        size = mu.base.period_length
+        index = np.arange(size)[:, None] + np.arange(n)  # orbit point, letter
+        prefixes = np.asarray(mu.base.period)[index % size] - 1
+        words, hits = np.unique(prefixes, axis=0, return_counts=True)
+        return words, hits / size
     k = mu.alphabet_size
-    out: set[Word] = set()
-    stack = [(c + 1,) for c in range(k) if mu.p[c] > ZERO_PROB_TOL]
-    while stack:
-        w = stack.pop()
-        if len(w) == n:
-            out.add(w)
-            continue
-        last = w[-1] - 1
-        for c in range(k):
-            if mu.P[last, c] > ZERO_PROB_TOL:
-                stack.append(w + (c + 1,))
-    return out
+    keep = mu.p > ZERO_PROB_TOL
+    words, probs = np.arange(k)[keep, None], mu.p[keep]
+    for _ in range(n - 1):
+        words = child_words(words, k)
+        step = mu.P[words[:, -2], words[:, -1]]
+        keep = step > ZERO_PROB_TOL
+        words, probs = words[keep], np.repeat(probs, k)[keep] * step[keep]
+    return words, probs
+
+
+def support_words(mu: ShiftMeasure, n: int) -> set[Word]:
+    """All words w of length n with positive cylinder probability,
+    enumerated structurally by ``support_walk``."""
+    words, _ = support_walk(mu, n)
+    return set(map(tuple, (words + 1).tolist()))

@@ -161,6 +161,27 @@ class TestCertifyFiniteness:
         assert cert.verdict == "certified"
         assert cert.value == pytest.approx(0.5, abs=1e-12)
 
+    def test_single_contraction_completed_to_span(self):
+        # the closure of (1, 0) is the invariant line x2 = 0; the short
+        # vertex (0, 1e-3) maps into the completed polytope, so the
+        # certificate spans and is a true extremal norm
+        fam = MatrixFamily.from_matrices([np.diag([0.5, 0.25])])
+        poly = certify_finiteness(fam, (1,)).certificate
+        assert poly.spans() and poly.vertices.shape == (2, 2)
+        ok, _, attained = check_extremal_norm(fam, poly, 0.5)
+        assert ok and attained == pytest.approx(0.5, rel=1e-9)
+
+    def test_invariant_line_is_not_certified(self):
+        # the closure of the word (1,)'s eigenvector (1, 0) is the
+        # invariant line x2 = 0, on which the family has radius 1; off it
+        # S_2 grows like 2, so rho >= 2 and no certificate may be given
+        fam = MatrixFamily.from_matrices([[[1, 0], [0.3, 0.5]],
+                                          [[0.5, 0], [1, 2]]])
+        cert = certify_finiteness(fam, (1,))
+        assert cert.verdict == "inconclusive"
+        assert cert.certificate is None
+        assert cert.reason == "polytope spans an invariant subspace of dim 1"
+
     def test_shear_word_inconclusive(self, shear):
         # the shear's leading eigenvalue is a defective double root, so no
         # rotation yields a usable eigenvector; never a false certificate

@@ -2,10 +2,10 @@
 
 The oracle enumerates words with ``itertools.product`` and evaluates each
 one on its own (``word_product``, ``operator_norm``, ``spectral_radius``,
-rotations spelled out), in complex arithmetic.  Ties go to the shortest,
-then lexicographically least, word whose value is within 1e-12 of the
-maximum.  Bounds may drift by rounding only; words, node counts and the
-completion flag must be identical.
+rotations spelled out in ``is_canonical``), in complex arithmetic.  Ties
+go to the shortest, then lexicographically least, word whose value is
+within 1e-12 of the maximum.  Bounds may drift by rounding only; words,
+node counts and the completion flag must be identical.
 """
 
 import itertools
@@ -15,12 +15,16 @@ import numpy as np
 import pytest
 
 from jsrkit import MatrixFamily, _kernels
-from jsrkit.matrix_core import (is_cyclic_canonical, operator_norm,
-                                spectral_radius, word_product)
+from jsrkit.matrix_core import operator_norm, spectral_radius, word_product
 
 from conftest import random_family
 
 REL = 1e-12
+
+
+def is_canonical(word):
+    """Is the word <= each of its cyclic rotations, spelled out?"""
+    return all(word <= word[s:] + word[:s] for s in range(1, len(word)))
 
 
 def _first_near_max(scored, tie):
@@ -47,7 +51,7 @@ def brute_scan(mats, depth, budget=10**6, dedup=True):
             nrm = operator_norm(p)
             max_norm[n - 1] = max(max_norm[n - 1], nrm ** (1.0 / n))
             lognorms.append((math.log(nrm) if nrm > 0.0 else -math.inf, w))
-            if dedup and any(w[s:] + w[:s] < w for s in range(1, n)):
+            if dedup and not is_canonical(w):
                 continue
             av = spectral_radius(p) ** (1.0 / n)
             max_rho[n - 1] = max(max_rho[n - 1], av)
@@ -176,9 +180,22 @@ class TestCanonicalMask:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_helper_agrees_with_mask(self, k, n):
-        expected = [is_cyclic_canonical(w)
+        expected = [is_canonical(w)
                     for w in itertools.product(range(k), repeat=n)]
         assert _kernels.canonical_mask(k, n).tolist() == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_agree_with_rotations(self, k, n):
+        # every word of the level, in a shuffled order
+        words = list(itertools.product(range(k), repeat=n))
+        order = np.random.default_rng(k * 10 + n).permutation(len(words))
+        rows = np.array(words, dtype=np.int64)[order]
+        expected = [is_canonical(words[i]) for i in order]
+        assert _kernels.canonical_rows(rows).tolist() == expected
+
+    def test_rows_of_an_empty_frontier(self):
+        assert _kernels.canonical_rows(np.zeros((0, 4), np.int64)).size == 0
 
 
 def _direct_log_norm(mats, path):
@@ -200,13 +217,15 @@ class TestPathEquivalence:
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_power_log_norms(self):
-        mat = np.ascontiguousarray(
-            np.array([[1.0, 1.0], [0.0, 0.9]], dtype=np.complex128))
-        got = _kernels.power_log_norms(mat, 80)
+        # a one-letter scan walks the powers: n log of its level maximum
+        # is log ||A^n||
+        mat = np.array([[1.0, 1.0], [0.0, 0.9]], dtype=np.complex128)
+        max_norm = _kernels.scan_words(mat[None], 80, 10**6, True)[1]
+        got = np.arange(1, 81) * np.log(max_norm)
         want = [_direct_log_norm(mat[None], [0] * n) for n in range(1, 81)]
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_zero_matrix_neg_inf(self):
-        mat = np.zeros((2, 2), dtype=np.complex128)
-        a = _kernels.power_log_norms(mat, 5)
-        assert np.all(np.isneginf(a))
+        mat = np.zeros((1, 2, 2), dtype=np.complex128)
+        out = _kernels.scan_words(mat, 5, 10**6, True)
+        assert np.all(out[1] == 0.0) and out[5] == -np.inf

@@ -4,7 +4,9 @@ import pytest
 from jsrkit import (MatrixFamily, algebra_dimension, block_triangularize,
                     bounds_bracket, dominant_blocks, extremal_subspace,
                     find_invariant_subspace, is_irreducible)
-from jsrkit.reduction import _invariance_residual, algebra_closure
+from jsrkit import reduction
+from jsrkit.reduction import (ToleranceConflictError, _invariance_residual,
+                              algebra_closure)
 
 from conftest import PHI
 
@@ -121,6 +123,26 @@ class TestBlockTriangularize:
         for j, b in enumerate(r.blocks):
             seg = t[:, starts[j]:starts[j + 1], starts[j]:starts[j + 1]]
             assert np.allclose(seg, b.mats, atol=1e-10)
+
+    def test_one_closure_per_split(self, monkeypatch):
+        # sizes (1, 2): the whole family and the 2x2 block each need one
+        # closure (it decides irreducibility and seeds the subspace
+        # search); the 1x1 block needs none
+        calls = []
+        monkeypatch.setattr(reduction, "algebra_closure",
+                            lambda fam: calls.append(fam.dim) or algebra_closure(fam))
+        fam, _ = conjugated_block_family(3, sizes=(1, 2))
+        assert block_triangularize(fam, seed=3).block_sizes == (1, 2)
+        assert sorted(calls) == [2, 3]
+
+    def test_uncertain_closure_raises(self, monkeypatch):
+        def uncertain(fam):
+            res = algebra_closure(fam)
+            return reduction.AlgebraResult(res.dimension, res.basis, True, 3.0)
+        monkeypatch.setattr(reduction, "algebra_closure", uncertain)
+        fam, _ = conjugated_block_family(0, sizes=(1, 2))
+        with pytest.raises(ToleranceConflictError, match="gap factor 3"):
+            block_triangularize(fam)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_jsr_conserved_by_similarity(self, seed):
