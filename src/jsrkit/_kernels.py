@@ -71,15 +71,19 @@ def canonical_mask(k: int, n: int) -> np.ndarray:
     return mask
 
 
-def canonical_rows(words: np.ndarray) -> np.ndarray:
+def canonical_rows(words: np.ndarray, primitive: bool = False) -> np.ndarray:
     """``canonical_mask`` for the rows of an (m, n) letter array: a row and
-    its rotation compare at the first column where they differ."""
+    its rotation compare at the first column where they differ.  With
+    ``primitive`` a row must be strictly below every rotation, which also
+    drops the powers u^j (j > 1) of shorter words: one row per necklace of
+    primitive words."""
+    below = np.less if primitive else np.less_equal
     rows = np.arange(words.shape[0])
     mask = np.ones(rows.size, bool)
     for s in range(1, words.shape[1]):
         rot = np.roll(words, -s, axis=1)
         first = (words != rot).argmax(axis=1)
-        mask &= words[rows, first] <= rot[rows, first]
+        mask &= below(words[rows, first], rot[rows, first])
     return mask
 
 

@@ -282,8 +282,10 @@ class CorollaryReport:
 
 def _ranked_candidate_words(family: MatrixFamily, max_len: int,
                             limit: int = 5, node_cap: int = 5000) -> list[Word]:
-    """Short words ranked by averaged spectral value (cyclic duplicates
-    dropped), used as certification candidates.  The walk stops after
+    """Short primitive words ranked by averaged spectral value, used as
+    certification candidates.  A word stands for its rotations and its
+    powers w^j, which share its averaged value, so only the least rotation
+    of a word that is no power of a shorter one is kept.  The walk stops after
     ``node_cap`` words, part way through a level if need be; values within
     1e-12 tie, and ties go to the shorter, then the lexicographically
     first, word."""
@@ -296,7 +298,7 @@ def _ranked_candidate_words(family: MatrixFamily, max_len: int,
         prods = _kernels.children(prods, mats)[:node_cap - nodes]
         words = _kernels.child_words(words, family.size)[:node_cap - nodes]
         nodes += len(words)
-        canon = _kernels.canonical_rows(words)
+        canon = _kernels.canonical_rows(words, primitive=True)
         found.append(np.pad(words[canon], ((0, 0), (0, max_len - n)),
                             constant_values=-1))
         values.append(_kernels.spectral_radii(prods[canon]) ** (1.0 / n))

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import _kernels
 from .config import GROWTH_THRESHOLD, MEMBERSHIP_TOL, VERTEX_BUDGET
@@ -114,6 +113,10 @@ def _gauge(vertices: np.ndarray, x: np.ndarray) -> float:
     optimum scaled back: HiGHS reads entries below its ~1e-7 feasibility
     tolerance as 0, which would make tiny vectors look like the origin.
     """
+    # imported here: scipy.optimize is most of the import time of jsrkit,
+    # and only certification solves linear programs
+    from scipy.optimize import linprog
+
     size = float(np.max(np.abs(x)))
     if size == 0.0:
         return 0.0

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jsrkit
 from jsrkit import (MatrixFamily, NormCertificate, boundedness_probe,
                     certify_finiteness, check_extremal_norm,
                     euclidean_certificate, norm_value)
@@ -18,6 +23,21 @@ SQUARE = NormCertificate(dim=2, kind="polytope",
 
 vectors_2 = st.lists(st.floats(-5, 5, allow_nan=False, allow_infinity=False),
                      min_size=2, max_size=2).map(np.array)
+
+
+def test_import_leaves_the_lp_solver_out():
+    # only certification solves linear programs: scipy.optimize, most of
+    # the import time, loads on the first gauge
+    src = os.path.dirname(os.path.dirname(jsrkit.__file__))
+    code = ("import sys, jsrkit; "
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'; "
+            "jsrkit.norm_value(jsrkit.NormCertificate(dim=1, kind='polytope', "
+            "vertices=[[1.0]]), [2.0]); "
+            "assert 'scipy.optimize' in sys.modules")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 class TestNormValue:

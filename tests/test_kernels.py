@@ -194,6 +194,15 @@ class TestCanonicalMask:
         expected = [is_canonical(words[i]) for i in order]
         assert _kernels.canonical_rows(rows).tolist() == expected
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_primitive_rows_are_strictly_least(self, k, n):
+        # strictly below each rotation: powers of shorter words drop out
+        words = list(itertools.product(range(k), repeat=n))
+        rows = np.array(words, dtype=np.int64).reshape(len(words), n)
+        expected = [all(w < w[s:] + w[:s] for s in range(1, n)) for w in words]
+        assert _kernels.canonical_rows(rows, primitive=True).tolist() == expected
+
     def test_rows_of_an_empty_frontier(self):
         assert _kernels.canonical_rows(np.zeros((0, 4), np.int64)).size == 0
 

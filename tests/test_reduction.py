@@ -5,15 +5,19 @@ from jsrkit import (MatrixFamily, algebra_dimension, block_triangularize,
                     bounds_bracket, dominant_blocks, extremal_subspace,
                     find_invariant_subspace, is_irreducible)
 from jsrkit import reduction
+from jsrkit.config import INVARIANCE_TOL, RANK_TOL
 from jsrkit.reduction import (ToleranceConflictError, _invariance_residual,
                               algebra_closure)
 
-from conftest import PHI
+from conftest import PHI, random_family
 
 
-def conjugated_block_family(seed, sizes=(1, 2), k=2, spectral_scales=(1.0, 0.6)):
+def conjugated_block_family(seed, sizes=(1, 2), k=2, spectral_scales=(1.0, 0.6),
+                            cplx=True, leak=0.0):
     """Lower-block-triangular family with seeded blocks and couplings,
-    hidden behind a seeded unitary similarity."""
+    hidden behind a seeded unitary similarity (a real orthogonal one when
+    not ``cplx``).  A ``leak`` above the diagonal blocks makes the family
+    irreducible, but barely."""
     rng = np.random.default_rng(seed)
     d = sum(sizes)
     mats = np.zeros((k, d, d), dtype=np.complex128)
@@ -34,9 +38,123 @@ def conjugated_block_family(seed, sizes=(1, 2), k=2, spectral_scales=(1.0, 0.6))
             mats[:, ra[0]:ra[1], rb[0]:rb[1]] = rng.standard_normal(
                 (k, sizes[a] - 0, sizes[b] - 0))
     q, _ = np.linalg.qr(rng.standard_normal((d, d))
-                        + 1j * rng.standard_normal((d, d)))
+                        + (1j * rng.standard_normal((d, d)) if cplx else 0.0))
+    if leak:
+        mats += leak * np.triu(rng.standard_normal((k, d, d)), 1) * (mats == 0)
     hidden = np.einsum("ij,kjl,lm->kim", q.conj().T, mats, q)
     return MatrixFamily(hidden), MatrixFamily(mats)
+
+
+def sequential_closure(family):
+    """The closure one candidate at a time: a FIFO queue, each candidate
+    swept twice against the accepted rows one vdot at a time.  Returns the
+    dimension, the accepted candidates, the uncertain flag, the worst
+    ratio, the ratio of every candidate tried and the number of
+    candidates left in the queue at the stop."""
+    d = family.dim
+    scale = family.scale
+    gens = [family.mats[k] / (scale if scale > 0 else 1.0)
+            for k in range(family.size)]
+    ortho, basis, ratios = [], [], []
+    uncertain = False
+    worst = float("inf")
+    queue = [np.eye(d, dtype=np.complex128)] + gens
+    while queue and len(basis) < d * d:
+        cand = queue.pop(0)
+        cnorm = float(np.linalg.norm(cand))
+        if cnorm <= 1e-300:
+            continue
+        v = cand.ravel() / cnorm
+        for q in ortho:
+            v = v - (np.vdot(q, v)) * q
+        for q in ortho:
+            v = v - (np.vdot(q, v)) * q
+        ratio = float(np.linalg.norm(v))
+        ratios.append(ratio)
+        if RANK_TOL * 1e-2 < ratio < RANK_TOL * 1e2:
+            uncertain = True
+            worst = min(worst, ratio / RANK_TOL if ratio > RANK_TOL
+                        else RANK_TOL / max(ratio, 1e-300))
+        if ratio > RANK_TOL:
+            ortho.append(v / ratio)
+            basis.append(cand)
+            for g in gens:
+                queue.append(cand @ g)
+    return len(basis), basis, uncertain, worst, ratios, len(queue)
+
+
+def assert_closure_matches_reference(fam):
+    dim, basis, uncertain, worst, ratios, _ = sequential_closure(fam)
+    res = algebra_closure(fam)
+    assert isinstance(res.basis, np.ndarray)
+    assert res.basis.shape == (res.dimension, fam.dim, fam.dim)
+    assert res.dimension == dim
+    assert res.uncertain == uncertain
+    # the same candidates, accepted in the same order
+    np.testing.assert_allclose(res.basis, np.stack(basis), rtol=0, atol=1e-13)
+    accepted_in_band = [r / RANK_TOL for r in ratios
+                        if RANK_TOL < r < 1e2 * RANK_TOL]
+    if min(accepted_in_band, default=None) == worst:
+        assert res.worst_ratio == pytest.approx(worst, rel=1e-6)
+    else:
+        # no ratio in the band, or the closest is the rounding residual of
+        # an in-span candidate: its size is noise that no two projection
+        # orders share, so only the flag (and the band) can agree
+        assert res.worst_ratio == worst == np.inf or 1 < res.worst_ratio < 1e2
+
+
+def closure_cases():
+    for d in range(1, 9):
+        for k in (1, 2, 3):
+            for cplx in (False, True):
+                seed = 100 * d + 10 * k + cplx
+                yield f"irreducible-d{d}-k{k}-{'c' if cplx else 'r'}", \
+                    conjugated_block_family(seed, (d,), k, (1.0,), cplx)[0]
+                if d > 1:
+                    sizes = (d // 2, d - d // 2)
+                    yield f"reducible-d{d}-k{k}-{'c' if cplx else 'r'}", \
+                        conjugated_block_family(seed, sizes, k, cplx=cplx)[0]
+
+
+CLOSURE_CASES = dict(closure_cases())
+
+
+class TestClosureAgainstReference:
+    @pytest.mark.parametrize("name", sorted(CLOSURE_CASES))
+    def test_random_families(self, name):
+        assert_closure_matches_reference(CLOSURE_CASES[name])
+
+    @pytest.mark.parametrize("mats", [
+        np.zeros((1, 3, 3)),                                 # zero generator
+        np.stack([np.zeros((3, 3)), np.diag([1.0, 2.0, 3.0])]),
+        np.stack([np.eye(4, k=-1), np.eye(4, k=-2)]),        # nilpotent
+        np.stack([2.5 * np.eye(3), -1j * np.eye(3)]),        # scalar
+    ], ids=["zero", "zero-and-diagonal", "nilpotent", "scalar"])
+    def test_degenerate_families(self, mats):
+        assert_closure_matches_reference(MatrixFamily(mats))
+
+    def test_stop_at_full_dimension_mid_level(self):
+        # a random 3x3 pair fills the 9-dimensional algebra part way
+        # through a level: the queue still holds candidates at the stop,
+        # and the level walk must stop with the same answer
+        fam, _ = conjugated_block_family(7, (3,), 2, (1.0,))
+        left = sequential_closure(fam)[-1]
+        assert left > 0
+        assert algebra_closure(fam).dimension == 9
+        assert_closure_matches_reference(fam)
+
+    @pytest.mark.parametrize("seed, leak, rel", [(5, 5e-9, 1e-6),
+                                                 (2, 3e-12, 1e-3)])
+    def test_near_reducible_family_is_uncertain(self, seed, leak, rel):
+        # a 5e-9 leak is accepted at about 27 RANK_TOL, and a
+        # 3e-12 leak is rejected with residuals of a few 1e-12: both inside
+        # the band and both signals, not rounding, so worst_ratio agrees up
+        # to the ~1e-15 rounding of the residual behind it
+        fam, _ = conjugated_block_family(seed, (2, 2), leak=leak)
+        res = algebra_closure(fam)
+        assert res.uncertain
+        assert res.worst_ratio == pytest.approx(sequential_closure(fam)[3], rel=rel)
+        assert_closure_matches_reference(fam)
 
 
 class TestAlgebra:
@@ -66,7 +184,55 @@ class TestAlgebra:
         assert rank == res.dimension
 
 
+def sequential_split(family, basis, seed, attempts=8):
+    """The subspace search one probe and one orbit product at a time: the
+    first verified subspace, or None."""
+    d = family.dim
+    rng = np.random.default_rng(seed)
+    probes = []
+    for _ in range(attempts):
+        coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        probes.append(sum(c * b for c, b in zip(coeffs, basis)))
+    for r in probes + list(basis) + list(family.mats):
+        eigvecs = np.linalg.eig(r.T)[1]
+        for j in range(d):
+            v = eigvecs[:, j]
+            orbit = np.stack([v] + [v @ b for b in basis])
+            _, sv, vh = np.linalg.svd(orbit / np.linalg.norm(orbit))
+            rank = int(np.sum(sv > RANK_TOL * sv[0]))
+            if 1 <= rank < d and _invariance_residual(vh[:rank], family) <= INVARIANCE_TOL:
+                return vh[:rank]
+    return None
+
+
 class TestInvariantSubspace:
+    @pytest.mark.parametrize("sizes", [(1, 2), (2, 2), (1, 1, 2), (3, 2)])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_split_matches_probe_by_probe_search(self, sizes, cplx):
+        # the same sums and products in the same order, so the same bits:
+        # block_triangularize completes the subspace to a unitary with an
+        # SVD whose singular values are all 1 and 0, and that completion
+        # moves by O(1) when the subspace moves by a rounding error
+        fam, _ = conjugated_block_family(sum(sizes), sizes, 2, (1.0, 0.6, 0.3),
+                                         cplx)
+        alg = algebra_closure(fam)
+        expected = sequential_split(fam, list(alg.basis), seed=5)
+        np.testing.assert_array_equal(reduction._split(fam, alg, seed=5), expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residual_is_max_over_generators(self, seed):
+        rng = np.random.default_rng(seed)
+        fam = random_family(seed, k=3, d=4)
+        w = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
+        loop = max(np.linalg.norm(w @ s - (w @ s @ w.conj().T) @ w)
+                   for s in fam.mats) / fam.scale
+        assert _invariance_residual(w, fam) == pytest.approx(loop, rel=1e-12)
+
+    def test_residual_of_the_last_generator_counts(self):
+        # the row line e_1 is invariant under S_1 only: e_1 S_2 = (0, 3)
+        fam = MatrixFamily.from_matrices([np.eye(2), [[0.0, 3.0], [0.0, 0.0]]])
+        assert _invariance_residual(np.array([[1.0, 0.0]]), fam) == 1.0
+
     def test_irreducible_returns_none(self, golden_pair):
         assert find_invariant_subspace(golden_pair) is None
 

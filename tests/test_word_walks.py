@@ -30,6 +30,11 @@ def is_canonical(word):
     return all(word <= word[s:] + word[:s] for s in range(1, len(word)))
 
 
+def is_primitive(word):
+    """Strictly below every rotation: canonical and no power of a shorter word."""
+    return all(word < word[s:] + word[:s] for s in range(1, len(word)))
+
+
 def first_near_max(scored, tie):
     """(value, word) of the first entry within tie of the largest value."""
     top = max(v for v, _ in scored)
@@ -265,7 +270,7 @@ def literal_ranked(fam, max_len, limit=5, node_cap=5000):
                     nxt.append(w + (c,))
         words = nxt
         scored += [(spectral_radius(word_product(fam, w)) ** (1.0 / len(w)), w)
-                   for w in words if is_canonical(w)]
+                   for w in words if is_primitive(w)]
     scale = fam.scale
     tie = scale * 1e-12 * max(max(v for v, _ in scored) / scale, 1.0)
     ranked = []
@@ -298,13 +303,23 @@ class TestRankedCandidatesOracle:
         assert got == literal_ranked(fam, 5, limit=50, node_cap=cap)
 
     def test_ties_go_to_shorter_then_first(self, golden_pair):
-        # powers of a word tie with it, and (1,1,2) ties with its transpose
-        # word (1,2,2); rounding does not reorder them
+        # (1,1,2) ties with its transpose word (1,2,2); rounding does not
+        # reorder them
         got = _ranked_candidate_words(golden_pair, 6, limit=10)
         assert got == literal_ranked(golden_pair, 6, limit=10)
-        assert got[:3] == [(1, 2), (1, 2, 1, 2), (1, 2, 1, 2, 1, 2)]
+        assert got[:3] == [(1, 2), (1, 1, 2, 1, 2), (1, 2, 1, 2, 2)]
+        assert got.index((1, 2, 2)) == got.index((1, 1, 2)) + 1
 
     def test_zero_family_keeps_walk_order(self):
         fam = MatrixFamily(np.zeros((2, 2, 2)))
-        assert _ranked_candidate_words(fam, 3) == [(1,), (2,), (1, 1), (1, 2),
-                                                   (2, 2)]
+        assert _ranked_candidate_words(fam, 3) == [(1,), (2,), (1, 2),
+                                                   (1, 1, 2), (1, 2, 2)]
+
+    def test_powers_are_one_candidate(self):
+        # S_2 leads, so every power (2,)^j ties with (2,); the list holds
+        # five distinct primitive words, not (2,), (2,2), ..., (2,2,2,2,2)
+        fam = random_family(0, k=2, d=3)
+        got = _ranked_candidate_words(fam, 8)
+        assert got == literal_ranked(fam, 8)
+        assert got[0] == (2,) and (2, 2) not in got
+        assert len(set(got)) == 5 and all(is_primitive(w) for w in got)
