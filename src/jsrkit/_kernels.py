@@ -2,27 +2,32 @@
 
 Everything here is vectorized numpy, one implementation of each kernel.
 Every word walk goes one level at a time through one frontier step,
-``children``: all children of a level come from one batched matmul
-``prods[:, None] @ mats[None]``, parent-major and letter-minor, so a level
-is in lexicographic order.  Walks that keep only part of a level carry
-their words as (m, n) letter arrays from ``child_words`` (the pruned
+``children``: a level is K GEMMs per block of parents, one per letter j,
+each multiplying the stacked rows of the block by S_j into slot j of an
+(m, K, d, d) array, so children come parent-major and letter-minor and a
+level is in lexicographic order.  Walks that keep only part of a level
+carry their words as (m, n) letter arrays from ``child_words`` (the pruned
 search and the candidate ranking beside their products, the support walk
 of a measure on its own) and test canonical rotation on them with
 ``canonical_rows``.
 
 ``scan_words`` keeps every word.  It carries a level of length n as the
-base-K indices c = 0..K^n-1 (canonical words come from the integer
-``canonical_mask``) and wants only per-level maxima, so batched SVD and
-``eigvals`` run on an exact screen: rho(P) <= ||P||_2 <= ||P||_F, so a
-word whose Frobenius norm lies below the value (2-norm or spectral
-radius) of the word with the largest Frobenius norm cannot hold the
+base-K indices c = 0..K^n-1 (canonical words come from
+``canonical_index``, the integer ``canonical_mask`` built once per (K, n))
+and wants only per-level maxima, so batched SVD and ``eigvals`` run on an
+exact screen: rho(P) <= ||P||_2 <= ||P||_F, so a word whose Frobenius
+norm lies below the floor, the largest value (2-norm or spectral radius)
+among the 4 words with the largest Frobenius norms, cannot hold the
 maximum.  The 1e-10 margin covers rounding, and the argmax over the
 survivors in lexicographic order is the first maximizer an unscreened
 scan would pick.  Real families (every imaginary part exactly 0) run in
-float64.  Letters are 0-based here; the public API uses 1-based words.
+float64, in the scan and the path kernel alike.  Letters are 0-based
+here; the public API uses 1-based words.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -37,6 +42,13 @@ _LOG_TIE = 1e-12
 # below this the squares summed into ||P||_F may underflow, so the screen
 # is skipped (and every word is checked) rather than trusted
 _SCREEN_FLOOR = 1e-140
+# entries in the GEMM result of one block of parents: each result is a
+# temporary until it is copied into its slot of the level, and blocks keep
+# it small next to the level (256 KB in complex128)
+_GEMM_ENTRIES = 2 ** 14
+# the screen floor is the largest value among this many candidates with the
+# largest Frobenius norms
+_SCREEN_TOP = 4
 
 
 def real_if_exact(mats):
@@ -47,9 +59,18 @@ def real_if_exact(mats):
 
 
 def children(prods, mats):
-    """The frontier step: every product times every letter, in order."""
-    m = prods.shape[0] * mats.shape[0]
-    return (prods[:, None] @ mats[None]).reshape(m, *mats.shape[1:])
+    """The frontier step: every product times every letter, in order.
+    Letter j fills slot j of the (m, K, d, d) level with one GEMM over the
+    stacked rows of a block of parents."""
+    m, d, _ = prods.shape
+    k = mats.shape[0]
+    out = np.empty((m, k, d, d), np.result_type(prods, mats))
+    step = max(1, _GEMM_ENTRIES // (d * d))
+    for i in range(0, m, step):
+        rows = prods[i:i + step].reshape(-1, d)
+        for j in range(k):
+            out[i:i + step, j] = (rows @ mats[j]).reshape(-1, d, d)
+    return out.reshape(m * k, d, d)
 
 
 def child_words(words, k):
@@ -69,6 +90,15 @@ def canonical_mask(k: int, n: int) -> np.ndarray:
         high = k ** (n - s)
         mask &= codes <= (codes % high) * k ** s + codes // high
     return mask
+
+
+@functools.lru_cache(maxsize=64)
+def canonical_index(k: int, n: int) -> np.ndarray:
+    """``flatnonzero(canonical_mask(k, n))``, built once per (k, n) and
+    returned read-only, since every caller shares the cached array."""
+    index = np.flatnonzero(canonical_mask(k, n))
+    index.setflags(write=False)
+    return index
 
 
 def canonical_rows(words: np.ndarray, primitive: bool = False) -> np.ndarray:
@@ -119,11 +149,15 @@ def frobenius(prods):
 def _screened(values_of, prods, fro, candidates):
     """(indices, values) of the candidates that can hold the maximum of
     ``values_of`` (2-norm or spectral radius, both <= ||P||_F): those whose
-    Frobenius norm reaches the value of the candidate with the largest one."""
-    top = candidates[int(np.argmax(fro[candidates]))]
-    floor = values_of(prods[top:top + 1])[0]
-    if floor >= _SCREEN_FLOOR:
-        candidates = candidates[fro[candidates] >= floor * _SCREEN_MARGIN]
+    Frobenius norm reaches the floor, the largest value among the
+    ``_SCREEN_TOP`` candidates with the largest Frobenius norms.  The floor
+    is at most the maximum, so every word that ties the maximum survives.
+    A set no larger than ``_SCREEN_TOP`` is valued whole."""
+    if candidates.size > _SCREEN_TOP:
+        top = np.argpartition(fro[candidates], -_SCREEN_TOP)[-_SCREEN_TOP:]
+        floor = values_of(prods[candidates[top]]).max()
+        if floor >= _SCREEN_FLOOR:
+            candidates = candidates[fro[candidates] >= floor * _SCREEN_MARGIN]
     return candidates, values_of(prods[candidates])
 
 
@@ -180,7 +214,7 @@ def scan_words(mats, depth, node_budget, dedup):
             bn_len = n
             bn_word[:n] = _digits(int(kept[i]), K, n)
 
-        canon = np.flatnonzero(canonical_mask(K, n)) if dedup else everything
+        canon = canonical_index(K, n) if dedup else everything
         j, val, max_rho[n - 1] = level_witness(prods, fro, canon, n)
         if val > best_val + 1e-12 * max(best_val, 1.0):
             best_val = val
@@ -193,7 +227,8 @@ def scan_words(mats, depth, node_budget, dedup):
 def path_log_norms(mats, paths):
     """Per-path (1/L) log ||S_{i_1} ... S_{i_L}|| with running rescaling."""
     n_paths, length = paths.shape
-    prods = np.eye(mats.shape[1], dtype=np.complex128)[None]
+    mats = real_if_exact(mats)
+    prods = np.eye(mats.shape[1], dtype=mats.dtype)[None]
     acc = np.zeros(n_paths)
     dead = np.zeros(n_paths, bool)
     for t in range(length):

@@ -80,9 +80,13 @@ def sample_paths(mu: MarkovMeasure, samples: int, length: int,
     u = rng.random((samples, length))
     paths = np.empty((samples, length), dtype=np.int64)
     paths[:, 0] = np.searchsorted(cum_p, u[:, 0], side="right").clip(0, k - 1)
+    # next_letter[i, s, t]: the letter at step t of path s after state i
+    next_letter = np.empty((k, samples, length), np.min_scalar_type(k - 1))
+    for i in range(k):
+        next_letter[i] = np.searchsorted(cum_rows[i], u, side="left").clip(0, k - 1)
+    cols = np.arange(samples)
     for t in range(1, length):
-        rows = cum_rows[paths[:, t - 1]]
-        paths[:, t] = (u[:, t, None] > rows).sum(axis=1).clip(0, k - 1)
+        paths[:, t] = next_letter[paths[:, t - 1], cols, t]
     return paths
 
 

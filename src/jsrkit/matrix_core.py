@@ -8,6 +8,7 @@ real input is promoted so there is a single code path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,9 +89,10 @@ class MatrixFamily:
     def is_real(self) -> bool:
         return bool(np.max(np.abs(self.mats.imag), initial=0.0) <= 1e-14 * max(1.0, self.scale))
 
-    @property
+    @functools.cached_property
     def scale(self) -> float:
-        """max_k ||S_k||, the natural magnitude of the family."""
+        """max_k ||S_k||, the natural magnitude of the family (computed on
+        first use; the stack is read-only)."""
         return float(max(operator_norm(a) for a in self.mats))
 
     def scaled(self, factor: float) -> "MatrixFamily":

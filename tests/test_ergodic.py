@@ -95,6 +95,44 @@ class TestSamplePaths:
         assert freq == pytest.approx(0.5, abs=0.02)
 
 
+def _compare_and_sum_paths(mu, samples, length, seed):
+    """The sampler as a compare-and-sum over every transition row."""
+    rng = np.random.default_rng(seed)
+    k = mu.alphabet_size
+    cum_rows = np.cumsum(mu.P, axis=1)
+    u = rng.random((samples, length))
+    paths = np.empty((samples, length), dtype=np.int64)
+    paths[:, 0] = np.searchsorted(np.cumsum(mu.p), u[:, 0],
+                                  side="right").clip(0, k - 1)
+    for t in range(1, length):
+        rows = cum_rows[paths[:, t - 1]]
+        paths[:, t] = (u[:, t, None] > rows).sum(axis=1).clip(0, k - 1)
+    return paths
+
+
+class TestSamplerTable:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_paths_match_compare_and_sum(self, k, zeros):
+        rng = np.random.default_rng(k)
+        P = rng.random((k, k))
+        if zeros and k > 1:
+            # forbidden transitions around a cycle that keeps the chain
+            # irreducible; past K = 2 row 0 may not end in the last letter
+            P[rng.random((k, k)) < 0.4] = 0.0
+            P[np.arange(k), (np.arange(k) + 1) % k] = 1.0
+            if k > 2:
+                P[0, k - 1] = 0.0
+        P /= P.sum(axis=1, keepdims=True)
+        mu = MarkovMeasure.from_transition(P)
+        for seed in range(3):
+            got = sample_paths(mu, 50, 120, seed)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _compare_and_sum_paths(mu, 50, 120, seed))
+            if zeros and k > 1:
+                assert np.all(P[got[:, :-1], got[:, 1:]] > 0.0)
+
+
 class TestLyapunovMonteCarlo:
     def test_alternating_chain_hits_log_phi(self, golden_pair, alternating):
         # products along 1,2,1,2,... grow exactly at rate phi

@@ -176,7 +176,138 @@ class TestScreenWorstCases:
         assert_matches_brute(mats, 4)
 
 
+def _stacked_children(prods, mats):
+    """Every product times every letter as one broadcast matmul."""
+    return (prods[:, None] @ mats[None]).reshape(-1, *mats.shape[1:])
+
+
+class TestChildren:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_matches_stacked_matmul(self, k, cplx):
+        rng = np.random.default_rng(10 * k + cplx)
+        for d in range(1, 13):
+            mats = rng.standard_normal((k, d, d))
+            if cplx:
+                mats = mats + 1j * rng.standard_normal((k, d, d))
+            for m in (1, 3, 64, 2000):
+                prods = rng.standard_normal((m, d, d)).astype(mats.dtype)
+                got = _kernels.children(prods, mats)
+                want = _stacked_children(prods, mats)
+                assert got.shape == (m * k, d, d) and got.dtype == mats.dtype
+                bound = d * np.abs(prods).max() * np.abs(mats).max()
+                np.testing.assert_allclose(got, want, rtol=0.0,
+                                           atol=1e-14 * bound)
+
+    def test_empty_frontier(self):
+        # the algebra closure extends an empty level when it accepted nothing
+        mats = np.eye(3)[None].repeat(2, axis=0)
+        assert _kernels.children(np.zeros((0, 3, 3)), mats).shape == (0, 3, 3)
+
+
+def _counting(values_of):
+    calls = []
+
+    def wrapped(prods):
+        calls.append(prods.shape[0])
+        return values_of(prods)
+    return wrapped, calls
+
+
+def _top1_kept(values_of, prods, fro, candidates):
+    """How many candidates a floor from the single word with the largest
+    Frobenius norm keeps."""
+    top = candidates[int(np.argmax(fro[candidates]))]
+    floor = values_of(prods[top:top + 1])[0]
+    if floor < _kernels._SCREEN_FLOOR:
+        return candidates.size
+    return int(np.sum(fro[candidates] >= floor * _kernels._SCREEN_MARGIN))
+
+
+class TestScreen:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_small_sets_are_valued_whole(self, size):
+        # no separate floor: one call values every candidate
+        rng = np.random.default_rng(size)
+        prods = rng.standard_normal((6, 3, 3))
+        fro = _kernels.frobenius(prods)
+        candidates = np.array([5, 0, 3, 2][:size])
+        values_of, calls = _counting(_kernels.spectral_radii)
+        kept, values = _kernels._screened(values_of, prods, fro, candidates)
+        assert calls == [size]
+        assert kept.tolist() == candidates.tolist()
+        np.testing.assert_array_equal(
+            values, _kernels.spectral_radii(prods[candidates]))
+
+    def test_floor_comes_from_the_top_four(self):
+        # five candidates: one call values the four largest Frobenius
+        # norms, a second the survivors
+        prods = np.stack([np.diag([v, 0.0]) for v in (1.0, 5.0, 4.0, 3.0, 2.0)])
+        fro = _kernels.frobenius(prods)
+        values_of, calls = _counting(_kernels.spectral_radii)
+        kept, values = _kernels._screened(values_of, prods, fro, np.arange(5))
+        assert calls == [4, 1]
+        assert kept.tolist() == [1] and values.tolist() == [5.0]
+
+    def test_largest_norm_with_small_radius(self):
+        # the two largest Frobenius norms belong to almost nilpotent words;
+        # the third largest holds the maximum spectral radius
+        big = [np.array([[0.5, 10.0], [0.0, 0.0]]),
+               np.array([[0.0, 9.0], [0.25, 0.0]]),
+               np.diag([6.0, 1.0]),
+               np.array([[0.0, 5.5], [0.0, 0.0]])]
+        rng = np.random.default_rng(7)
+        filler = rng.standard_normal((40, 2, 2))
+        filler *= (0.5 + 4.5 * rng.random(40))[:, None, None] / np.linalg.norm(
+            filler, axis=(1, 2))[:, None, None]
+        prods = np.concatenate([filler[:17], big, filler[17:]])
+        fro = _kernels.frobenius(prods)
+        candidates = np.arange(prods.shape[0])
+        rhos = _kernels.spectral_radii(prods)
+        assert np.argsort(fro)[-3] == 19 and int(np.argmax(rhos)) == 19
+        j, val, top = _kernels.level_witness(prods, fro, candidates, 1)
+        assert j == 19 and val == top == rhos[19]
+        kept, _ = _kernels._screened(_kernels.spectral_radii, prods, fro,
+                                     candidates)
+        assert kept.tolist() == [17, 18, 19]
+        assert kept.size <= _top1_kept(_kernels.spectral_radii, prods, fro,
+                                       candidates)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_keeps_no_more_than_a_top1_floor(self, seed):
+        # a level of a random family: the same witness as an unscreened
+        # argmax, from no more survivors than a single-word floor leaves
+        k, d, n = 2 + seed % 3, 2 + seed % 4, 4
+        mats = random_family(seed, k=k, d=d).mats.real
+        prods = np.eye(d)[None]
+        for _ in range(n):
+            prods = _kernels.children(prods, mats)
+        fro = _kernels.frobenius(prods)
+        candidates = _kernels.canonical_index(k, n)
+        for values_of in (_kernels.two_norms, _kernels.spectral_radii):
+            kept, values = _kernels._screened(values_of, prods, fro, candidates)
+            every = values_of(prods[candidates])
+            assert values.max() == every.max()
+            tie = 1e-12 * every.max()
+            assert (kept[_kernels.first_near_max(values, tie)]
+                    == candidates[_kernels.first_near_max(every, tie)])
+            assert kept.size <= _top1_kept(values_of, prods, fro, candidates)
+
+
 class TestCanonicalMask:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cached_index_matches_mask(self, k, n):
+        index = _kernels.canonical_index(k, n)
+        np.testing.assert_array_equal(
+            index, np.flatnonzero(_kernels.canonical_mask(k, n)))
+        assert _kernels.canonical_index(k, n) is index
+
+    def test_cached_index_is_read_only(self):
+        index = _kernels.canonical_index(2, 5)
+        with pytest.raises(ValueError):
+            index[0] = 1
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_helper_agrees_with_mask(self, k, n):
@@ -224,6 +355,18 @@ class TestPathEquivalence:
         got = _kernels.path_log_norms(mats, paths)
         want = [_direct_log_norm(mats, p) / paths.shape[1] for p in paths]
         np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_real_family_matches_complex_copy(self, seed, monkeypatch):
+        # the real stack runs in float64; its complex128 copy, kept
+        # complex, gives the same values
+        rng = np.random.default_rng(seed)
+        mats = rng.standard_normal((3, 3, 3)) / 2.0
+        paths = rng.integers(0, 3, size=(16, 200))
+        got = _kernels.path_log_norms(mats, paths)
+        monkeypatch.setattr(_kernels, "real_if_exact", lambda m: m)
+        want = _kernels.path_log_norms(mats.astype(np.complex128), paths)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_power_log_norms(self):
         # a one-letter scan walks the powers: n log of its level maximum

@@ -93,6 +93,20 @@ class TestMatrixFamily:
         # [DERIVED] both generators are shears of norm phi
         assert golden_pair.scale == pytest.approx(PHI, abs=1e-12)
 
+    def test_scale_computed_once(self, monkeypatch):
+        fam = random_family(3, k=3, d=4)
+        want = max(operator_norm(a) for a in fam.mats)
+        assert fam.scale == want
+        svd = np.linalg.svd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert fam.scale == want and fam.is_real
+        assert calls == []
+
     def test_mixed_dims_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             MatrixFamily.from_matrices([np.eye(2), np.eye(3)])
