@@ -8,12 +8,14 @@ each multiplying the stacked rows of the block by S_j into slot j of an
 level is in lexicographic order.  Walks that keep only part of a level
 carry their words as (m, n) letter arrays from ``child_words`` (the pruned
 search and the candidate ranking beside their products, the support walk
-of a measure on its own) and test canonical rotation on them with
-``canonical_rows``.
+of a measure on its own).  One rule, ``necklace_step``, picks the least
+rotation of each word in every walk from the length p of its longest
+Lyndon prefix, carried from parent to child in O(1): the pruned search
+and the candidate ranking carry p beside their letter arrays.
 
 ``scan_words`` keeps every word.  It carries a level of length n as the
 base-K indices c = 0..K^n-1 (canonical words come from
-``canonical_index``, the integer ``canonical_mask`` built once per (K, n))
+``canonical_index``, cached per (K, n))
 and wants only per-level maxima, so batched SVD and ``eigvals`` run on an
 exact screen: rho(P) <= ||P||_2 <= ||P||_F, so a word whose Frobenius
 norm lies below the floor, the largest value (2-norm or spectral radius)
@@ -22,12 +24,13 @@ maximum.  The 1e-10 margin covers rounding, and the argmax over the
 survivors in lexicographic order is the first maximizer an unscreened
 scan would pick.  Real families (every imaginary part exactly 0) run in
 float64, in the scan and the path kernel alike.  Letters are 0-based
-here; the public API uses 1-based words.
+here; the scan's record gives 1-based words, as the public API does.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,49 +82,58 @@ def child_words(words, k):
     return np.column_stack([np.repeat(words, k, axis=0), letters])
 
 
-def canonical_mask(k: int, n: int) -> np.ndarray:
-    """Mask over the words of length n (as base-k indices, lexicographic
-    order) that are lexicographically <= every cyclic rotation of
-    themselves.  Rotating word c left by s gives
-    (c mod k^(n-s)) * k^s + c div k^(n-s)."""
-    codes = np.arange(k ** n, dtype=np.int64)
-    mask = np.ones(codes.size, bool)
-    for s in range(1, n):
-        high = k ** (n - s)
-        mask &= codes <= (codes % high) * k ** s + codes // high
-    return mask
+def necklace_step(lengths, ref, k, n, primitive=False):
+    """The prenecklace step (Fredricksen-Kessler-Maiorana; Ruskey, Savage
+    and Wang 1992) over the children w.a of length n, in ``child_words``
+    order.  A parent carries p, the length of its longest Lyndon prefix (0
+    if it is no prenecklace), and ``ref`` = w[n-1-p]; the child gets 0 if
+    p = 0 or a < ref, p if a = ref, and n if a > ref.  Returns the child
+    lengths and a mask of the canonical children (p > 0 divides n: least
+    rotations), or with ``primitive`` of the Lyndon ones (p = n)."""
+    p = np.repeat(lengths, k)
+    ref = np.repeat(ref, k)
+    a = np.tile(np.arange(k), lengths.size)
+    child = np.where((p == 0) | (a < ref), 0, np.where(a == ref, p, n))
+    if primitive:
+        return child, child == n
+    return child, (child > 0) & (n % np.maximum(child, 1) == 0)
+
+
+def child_necklaces(words, lengths, k, primitive=False):
+    """(``child_words(words, k)``, their lengths, mask) by ``necklace_step``;
+    the root (1, 0) array has p = 1 and ref 0, a row with p = 0 any ref."""
+    m, n = words.shape
+    ref = (words[np.arange(m), np.minimum(n - lengths, n - 1)] if n
+           else np.zeros(m, np.int64))
+    return (child_words(words, k),
+            *necklace_step(lengths, ref, k, n + 1, primitive))
 
 
 @functools.lru_cache(maxsize=64)
-def canonical_index(k: int, n: int) -> np.ndarray:
-    """``flatnonzero(canonical_mask(k, n))``, built once per (k, n) and
-    returned read-only, since every caller shares the cached array."""
-    index = np.flatnonzero(canonical_mask(k, n))
+def _full_level(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, canonical index) of the k^n words of length n as base-k
+    codes, from the cached lengths of level n-1: the letter w[n-1-p] of
+    parent code c is (c // k^(p-1)) % k."""
+    # level 0 is the root: p = 1, and its code 0 gives ref 0
+    parent = _full_level(k, n - 1)[0] if n > 1 else np.ones(1, np.int64)
+    ref = np.arange(parent.size) // k ** np.maximum(parent - 1, 0) % k
+    lengths, canon = necklace_step(parent, ref, k, n)
+    index = np.flatnonzero(canon)
+    lengths.setflags(write=False)
     index.setflags(write=False)
-    return index
+    return lengths, index
 
 
-def canonical_rows(words: np.ndarray, primitive: bool = False) -> np.ndarray:
-    """``canonical_mask`` for the rows of an (m, n) letter array: a row and
-    its rotation compare at the first column where they differ.  With
-    ``primitive`` a row must be strictly below every rotation, which also
-    drops the powers u^j (j > 1) of shorter words: one row per necklace of
-    primitive words."""
-    below = np.less if primitive else np.less_equal
-    rows = np.arange(words.shape[0])
-    mask = np.ones(rows.size, bool)
-    for s in range(1, words.shape[1]):
-        rot = np.roll(words, -s, axis=1)
-        first = (words != rot).argmax(axis=1)
-        mask &= below(words[rows, first], rot[rows, first])
-    return mask
+def canonical_index(k: int, n: int) -> np.ndarray:
+    """Base-k codes of the canonical words of length n, in order, built
+    once per (k, n) and returned read-only, since every caller shares the
+    cached array."""
+    return _full_level(k, n)[1]
 
 
-def _digits(code: int, k: int, n: int) -> np.ndarray:
-    out = np.zeros(n, np.int64)
-    for i in range(n - 1, -1, -1):
-        code, out[i] = divmod(code, k)
-    return out
+def _word(code: int, k: int, n: int) -> tuple[int, ...]:
+    """The 1-based word whose base-k code at length n is ``code``."""
+    return tuple(code // k ** (n - 1 - i) % k + 1 for i in range(n))
 
 
 def first_near_max(values, tie):
@@ -171,25 +183,37 @@ def level_witness(prods, fro, candidates, n):
     return int(kept[j]), float(avs[j]), top
 
 
-def scan_words(mats, depth, node_budget, dedup):
+@dataclass(frozen=True)
+class WordScan:
+    """What ``scan_words`` found, with 1-based words as in the public API."""
+
+    max_rho: np.ndarray   # per depth n: max over |w| = n of rho(P(w))^(1/n)
+    max_norm: np.ndarray  # per depth n: max over |w| = n of ||P(w)||^(1/n)
+    best_val: float       # the spectral witness's value, -1 before level 1
+    best_word: tuple[int, ...]
+    norm_log: float       # log of the largest product norm (may be -inf)
+    norm_word: tuple[int, ...]
+    nodes: int
+    levels: int           # lengths 1..levels were scanned
+    complete: bool
+
+
+def scan_words(mats, depth, node_budget) -> WordScan:
     """Exhaustive scan over all words of length 1..depth, level by level.
 
-    Returns per-depth maxima of averaged norm and averaged spectral value,
-    the best (value, word) for the spectral lower bound with
-    shorter-then-lexicographic tie-breaking, the log norm and word of the
-    largest product norm, the node count, and a completion flag.  A level
-    is scanned only when it fits in the remaining node budget.
+    Finds per-depth maxima of averaged norm and averaged spectral value
+    (the latter over canonical words, since rho is invariant under
+    rotation), the best (value, word) for the spectral lower bound with
+    shorter-then-lexicographic tie-breaking, and the log norm and word of
+    the largest product norm.  A level is scanned only when it fits in the
+    remaining node budget.
     """
     K, d, _ = mats.shape
     mats = real_if_exact(mats)
     max_rho = np.zeros(depth)
     max_norm = np.zeros(depth)
-    best_val = -1.0
-    best_len = 0
-    best_word = np.zeros(depth, np.int64)
-    bn_val = -np.inf
-    bn_len = 0
-    bn_word = np.zeros(depth, np.int64)
+    best_val, best_word = -1.0, ()
+    norm_log, norm_word = -np.inf, ()
     nodes = 0
     completed = True
     prods = np.eye(d, dtype=mats.dtype)[None]
@@ -201,27 +225,25 @@ def scan_words(mats, depth, node_budget, dedup):
         prods = children(prods, mats)
         nodes += m
         fro = frobenius(prods)
-        everything = np.arange(m)
 
-        kept, norms = _screened(two_norms, prods, fro, everything)
+        kept, norms = _screened(two_norms, prods, fro, np.arange(m))
         top = float(norms.max())
         max_norm[n - 1] = top ** (1.0 / n) if top > 0.0 else 0.0
         with np.errstate(divide="ignore"):
             lognorms = np.where(norms > 0.0, np.log(norms), -np.inf)
         i = first_near_max(lognorms, _LOG_TIE)
-        if lognorms[i] > bn_val + _LOG_TIE:
-            bn_val = float(lognorms[i])
-            bn_len = n
-            bn_word[:n] = _digits(int(kept[i]), K, n)
+        if lognorms[i] > norm_log + _LOG_TIE:
+            norm_log = float(lognorms[i])
+            norm_word = _word(int(kept[i]), K, n)
 
-        canon = canonical_index(K, n) if dedup else everything
-        j, val, max_rho[n - 1] = level_witness(prods, fro, canon, n)
+        j, val, max_rho[n - 1] = level_witness(prods, fro,
+                                               canonical_index(K, n), n)
         if val > best_val + 1e-12 * max(best_val, 1.0):
             best_val = val
-            best_len = n
-            best_word[:n] = _digits(j, K, n)
-    return (max_rho, max_norm, best_val, best_word, best_len,
-            bn_val, bn_word, bn_len, nodes, completed)
+            best_word = _word(j, K, n)
+    levels = depth if completed else n - 1
+    return WordScan(max_rho, max_norm, best_val, best_word, norm_log,
+                    norm_word, nodes, levels, completed)
 
 
 def path_log_norms(mats, paths):

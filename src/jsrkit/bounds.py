@@ -20,7 +20,7 @@ that.  Ties go to the shorter word, then to the lexicographically first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,48 +61,33 @@ class BudgetExceededError(RuntimeError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
-class _ScanResult:
-    max_rho: np.ndarray    # per depth n: max over |w|=n of rho(P(w))^(1/n)
-    max_norm: np.ndarray   # per depth n: max over |w|=n of ||P(w)||^(1/n)
-    best_val: float
-    best_word: Word
-    nodes: int
-    complete: bool
-
-
-def _scan(family: MatrixFamily, depth: int, node_budget: int,
-          dedup: bool = True) -> _ScanResult:
-    """Exhaustive word-tree scan, rescaled for overflow safety."""
+def _scan(family: MatrixFamily, depth: int,
+          node_budget: int) -> _kernels.WordScan:
+    """Exhaustive word-tree scan, rescaled for overflow safety.  Before
+    level 1 the spectral witness is the word (1,) with value 0."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     scale = family.scale
     if scale == 0.0:
-        return _ScanResult(np.zeros(depth), np.zeros(depth), 0.0, (1,),
-                           family.size, True)
+        return _kernels.WordScan(np.zeros(depth), np.zeros(depth), 0.0, (1,),
+                                 -np.inf, (), family.size, depth, True)
     mats = np.ascontiguousarray(family.mats / scale)
-    (max_rho, max_norm, best_val, best_word, best_len,
-     _, _, _, nodes, complete) = _kernels.scan_words(
-        mats, depth, node_budget, dedup)
-    word = tuple(int(c) + 1 for c in best_word[:best_len])
-    if best_len == 0:  # zero spectral radius everywhere
-        word = (1,)
-        best_val = 0.0
-    return _ScanResult(max_rho * scale, max_norm * scale,
-                       float(best_val) * scale, word, int(nodes),
-                       bool(complete))
+    res = _kernels.scan_words(mats, depth, node_budget)
+    return replace(res, max_rho=res.max_rho * scale,
+                   max_norm=res.max_norm * scale,
+                   best_val=max(res.best_val, 0.0) * scale,
+                   best_word=res.best_word or (1,))
 
 
 def lower_bound(family: MatrixFamily, depth: int,
-                node_budget: int = DEFAULT_NODE_BUDGET,
-                dedup: bool = True) -> tuple[float, Word]:
+                node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[float, Word]:
     """max over words of length 1..depth of rho(P(w))^(1/|w|) and its witness.
 
     Ties break toward the shorter word, then the lexicographically least;
-    cyclically equal words are deduplicated (spectral radius is invariant
-    under rotation of the word).
+    only the least rotation of each word is valued (spectral radius is
+    invariant under rotation of the word).
     """
-    res = _scan(family, depth, node_budget, dedup)
+    res = _scan(family, depth, node_budget)
     if not res.complete:
         raise BudgetExceededError(
             f"node budget {node_budget} exhausted at {res.nodes} nodes",
@@ -113,7 +98,7 @@ def lower_bound(family: MatrixFamily, depth: int,
 def upper_bound(family: MatrixFamily, depth: int,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> float:
     """min over n = 1..depth of (max over |w| = n of ||P(w)||^(1/n))."""
-    res = _scan(family, depth, node_budget, dedup=True)
+    res = _scan(family, depth, node_budget)
     if not res.complete:
         # partial per-depth maxima are not sound; fall back to depth 1
         raise BudgetExceededError(
@@ -123,15 +108,14 @@ def upper_bound(family: MatrixFamily, depth: int,
 
 
 def bounds_bracket(family: MatrixFamily, depth: int,
-                   node_budget: int = DEFAULT_NODE_BUDGET,
-                   dedup: bool = True) -> BoundsBracket:
+                   node_budget: int = DEFAULT_NODE_BUDGET) -> BoundsBracket:
     """Exhaustive bracket [lower, upper] at one depth.
 
     On budget exhaustion the lower is still sound (it is attained), but
     interrupted per-depth norm maxima are not; the upper then falls back
     to the depth-1 value max_k ||S_k|| and the bracket is flagged.
     """
-    res = _scan(family, depth, node_budget, dedup)
+    res = _scan(family, depth, node_budget)
     if res.complete:
         upper = float(np.min(res.max_norm))
         return BoundsBracket(res.best_val, upper, res.best_word, depth,
@@ -152,14 +136,10 @@ def berger_wang_report(family: MatrixFamily, depth: int,
     if not res.complete:
         raise BudgetExceededError(
             f"node budget {node_budget} exhausted at {res.nodes} nodes")
-    rows = []
-    run_lower = 0.0
-    run_upper = float("inf")
-    for n in range(1, depth + 1):
-        run_lower = max(run_lower, float(res.max_rho[n - 1]))
-        run_upper = min(run_upper, float(res.max_norm[n - 1]))
-        rows.append({"n": n, "lower": run_lower, "upper": run_upper})
-    return rows
+    lower = np.maximum.accumulate(res.max_rho)
+    upper = np.minimum.accumulate(res.max_norm)
+    return [{"n": n, "lower": float(lo), "upper": float(up)}
+            for n, lo, up in zip(range(1, depth + 1), lower, upper)]
 
 
 def pruned_search(family: MatrixFamily, tol: float,
@@ -192,14 +172,16 @@ def pruned_search(family: MatrixFamily, tol: float,
     mats = _kernels.real_if_exact(family.mats / scale)
     prods = np.eye(family.dim, dtype=mats.dtype)[None]
     words = np.zeros((1, 0), np.int64)
+    lengths = np.ones(1, np.int64)
     best_val, best_word = -1.0, words
     nodes = depth = 0
     while prods.shape[0] and depth < max_depth:
         depth += 1
         prods = _kernels.children(prods, mats)
-        words = _kernels.child_words(words, family.size)
+        words, lengths, canon = _kernels.child_necklaces(words, lengths,
+                                                         family.size)
         nodes += prods.shape[0]
-        canon = np.flatnonzero(_kernels.canonical_rows(words))
+        canon = np.flatnonzero(canon)
         if canon.size:
             j, val, _ = _kernels.level_witness(
                 prods, _kernels.frobenius(prods), canon, depth)
@@ -209,6 +191,7 @@ def pruned_search(family: MatrixFamily, tol: float,
         norms = scale * _kernels.two_norms(prods) ** (1.0 / depth)
         keep = norms > lower + tol
         prods, words, norms = prods[keep], words[keep], norms[keep]
+        lengths = lengths[keep]
         if nodes >= node_budget:
             break
     complete = not prods.shape[0] and nodes < node_budget

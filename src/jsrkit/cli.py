@@ -153,14 +153,11 @@ def _cmd_bounds(args, family):
 
 def _cmd_finiteness(args, family):
     if args.word:
-        words = [io.parse_word(args.word)]
+        cert = extremal.certify_finiteness(family, io.parse_word(args.word),
+                                           args.vertex_budget)
     else:
-        words = ergodic._ranked_candidate_words(family, min(args.depth, 8))
-    cert = None
-    for w in words:
-        cert = extremal.certify_finiteness(family, w, args.vertex_budget)
-        if cert.verdict == "certified":
-            break
+        cert = ergodic.search_finiteness(family, args.depth,
+                                         args.vertex_budget)
     lines = [f"word    {','.join(map(str, cert.word))}",
              f"value   {cert.value:.12g}",
              f"verdict {cert.verdict}" + (f"  ({cert.reason})" if cert.reason else "")]

@@ -296,13 +296,16 @@ def _ranked_candidate_words(family: MatrixFamily, max_len: int,
     mats = _kernels.real_if_exact(family.mats / (family.scale or 1.0))
     prods = np.eye(family.dim, dtype=mats.dtype)[None]
     words = np.zeros((1, 0), np.int64)
+    lengths = np.ones(1, np.int64)
     found, values = [], []  # words padded with -1 to max_len, values
     nodes = 0
     for n in range(1, max_len + 1):
-        prods = _kernels.children(prods, mats)[:node_cap - nodes]
-        words = _kernels.child_words(words, family.size)[:node_cap - nodes]
+        cap = node_cap - nodes
+        prods = _kernels.children(prods, mats)[:cap]
+        words, lengths, canon = _kernels.child_necklaces(
+            words, lengths, family.size, primitive=True)
+        words, lengths, canon = words[:cap], lengths[:cap], canon[:cap]
         nodes += len(words)
-        canon = _kernels.canonical_rows(words, primitive=True)
         found.append(np.pad(words[canon], ((0, 0), (0, max_len - n)),
                             constant_values=-1))
         values.append(_kernels.spectral_radii(prods[canon]) ** (1.0 / n))
@@ -318,6 +321,17 @@ def _ranked_candidate_words(family: MatrixFamily, max_len: int,
     return ranked
 
 
+def search_finiteness(family: MatrixFamily, depth: int,
+                      vertex_budget: int) -> FinitenessCertificate:
+    """Certify the ranked candidate words of length <= min(depth, 8) in
+    turn: the first certified attempt, or the last one if none is."""
+    for w in _ranked_candidate_words(family, min(depth, 8)):
+        cert = certify_finiteness(family, w, vertex_budget)
+        if cert.verdict == "certified":
+            break
+    return cert
+
+
 def corollary_reports(family: MatrixFamily, mu: MarkovMeasure,
                       depth: int = DEFAULT_DEPTH,
                       node_budget: int = DEFAULT_NODE_BUDGET,
@@ -327,12 +341,7 @@ def corollary_reports(family: MatrixFamily, mu: MarkovMeasure,
     verdict = extremality_verdict(family, mu, depth, node_budget=node_budget)
     cert: FinitenessCertificate | None = None
     if verdict.verdict == "extremal" and family.is_real:
-        for w in _ranked_candidate_words(family, min(depth, 8)):
-            attempt = certify_finiteness(family, w, vertex_budget)
-            if attempt.verdict == "certified":
-                cert = attempt
-                break
-            cert = attempt
+        cert = search_finiteness(family, depth, vertex_budget)
     scan_max = verdict.jsr_bracket.lower  # max averaged spectral value by construction
     upper = cert.value if cert is not None and cert.verdict == "certified" \
         else verdict.jsr_bracket.upper

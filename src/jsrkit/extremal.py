@@ -186,26 +186,17 @@ def boundedness_probe(family: MatrixFamily, depth: int,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     log_thresh = float(np.log(growth_threshold))
-    k = family.size
-    n_eff = 0
-    total = 0
-    while n_eff < depth:
-        total += k ** (n_eff + 1)
-        if total > node_budget:
-            break
-        n_eff += 1
+    scan = _kernels.scan_words(np.ascontiguousarray(family.mats), depth,
+                               node_budget)
+    n_eff = scan.levels
     if n_eff < 1:
         raise ValueError("node budget too small for even depth 1")
-    mats = np.ascontiguousarray(family.mats)
-    (_, max_norm, _, _, _, bn_val, bn_word, bn_len, _, _) = _kernels.scan_words(
-        mats, n_eff, node_budget + k, True)
     with np.errstate(divide="ignore"):
-        lognorms = np.arange(1, n_eff + 1) * np.log(max_norm)
-    max_log = float(bn_val)
-    witness = tuple(int(c) + 1 for c in bn_word[:bn_len])
+        lognorms = np.arange(1, n_eff + 1) * np.log(scan.max_norm[:n_eff])
+    max_log = scan.norm_log
     running = np.maximum.accumulate(lognorms)
     if max_log > log_thresh:
-        return ProbeResult("unbounded", max_log, n_eff, witness)
+        return ProbeResult("unbounded", max_log, n_eff, scan.norm_word)
     if n_eff >= 4:
         q = (3 * n_eff) // 4
         if running[-1] <= running[q - 1] + 1e-9:

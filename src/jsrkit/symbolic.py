@@ -101,19 +101,18 @@ class MarkovMeasure:
         object.__setattr__(self, "P", P)
 
     @classmethod
-    def from_transition(cls, P, tol: float = 1e-12, max_iter: int = 100000) -> "MarkovMeasure":
-        """Compute the stationary p from P by power iteration on P^T."""
+    def from_transition(cls, P) -> "MarkovMeasure":
+        """The stationary p of P, solved from p (P - I) = 0, sum p = 1 by
+        least squares, so a periodic chain needs no convergence.  For a
+        reducible P the solve gives a stationary p that mixes the closed
+        classes with positive weights; rounding negatives are clipped to 0
+        and p is renormalized."""
         P = np.asarray(P, dtype=np.float64)
         _validate_stochastic(P)
         k = P.shape[0]
-        p = np.full(k, 1.0 / k)
-        for _ in range(max_iter):
-            q = p @ P
-            q /= q.sum()
-            if np.max(np.abs(q - p)) <= tol:
-                return cls(q, P)
-            p = q
-        raise ValueError("power iteration for the stationary distribution did not converge")
+        p = np.linalg.lstsq(np.vstack([P.T - np.eye(k), np.ones(k)]),
+                            np.r_[np.zeros(k), 1.0], rcond=None)[0].clip(0.0)
+        return cls(p / p.sum(), P)
 
     @property
     def alphabet_size(self) -> int:
@@ -182,14 +181,12 @@ class DensityVerdict:
         return self.is_density_point
 
 
-def is_density_point(mu: ShiftMeasure, xi: PeriodicSequence,
-                     horizon: int | None = None) -> DensityVerdict:
+def is_density_point(mu: ShiftMeasure, xi: PeriodicSequence) -> DensityVerdict:
     """Exact decision whether the periodic sequence xi lies in supp(mu).
 
     For a Markov measure this is structural: the initial letter must have
     positive mass and every transition along one period cycle must have a
     positive P entry.  For a periodic measure it is orbit membership.
-    ``horizon`` is accepted for diagnostics only; the decision is exact.
     """
     if xi.alphabet_size != mu.alphabet_size:
         raise ValueError("alphabet sizes of measure and sequence differ")

@@ -27,6 +27,19 @@ def is_canonical(word):
     return all(word <= word[s:] + word[:s] for s in range(1, len(word)))
 
 
+def is_primitive(word):
+    """Is the word strictly below each of its cyclic rotations (a Lyndon
+    word, so no power of a shorter word)?"""
+    return all(word < word[s:] + word[:s] for s in range(1, len(word)))
+
+
+def lyndon_prefix(word):
+    """The length p of the longest Lyndon prefix when the word is a
+    prenecklace, a prefix of the necklace (word[:p])^j; else 0."""
+    p = max(q for q in range(1, len(word) + 1) if is_primitive(word[:q]))
+    return p if word == (word[:p] * len(word))[:len(word)] else 0
+
+
 def _first_near_max(scored, tie):
     """(value, word) of the first entry within tie of the largest value."""
     top = max(v for v, _ in scored)
@@ -34,6 +47,8 @@ def _first_near_max(scored, tie):
 
 
 def brute_scan(mats, depth, budget=10**6, dedup=True):
+    """The scan's answers from every word; with ``dedup`` spectral values
+    are taken on canonical words only, without it on every word."""
     fam = MatrixFamily(np.asarray(mats, dtype=np.complex128))
     k = fam.size
     max_rho = np.zeros(depth)
@@ -41,13 +56,13 @@ def brute_scan(mats, depth, budget=10**6, dedup=True):
     rhos, lognorms = [], []  # (value, word), shortest then lexicographic
     nodes, complete = 0, True
     for n in range(1, depth + 1):
-        words = list(itertools.product(range(k), repeat=n))
+        words = list(itertools.product(range(1, k + 1), repeat=n))
         if nodes + len(words) > budget:
             complete = False
             break
         nodes += len(words)
         for w in words:
-            p = word_product(fam, tuple(c + 1 for c in w))
+            p = word_product(fam, w)
             nrm = operator_norm(p)
             max_norm[n - 1] = max(max_norm[n - 1], nrm ** (1.0 / n))
             lognorms.append((math.log(nrm) if nrm > 0.0 else -math.inf, w))
@@ -61,21 +76,23 @@ def brute_scan(mats, depth, budget=10**6, dedup=True):
     return max_rho, max_norm, best_val, best_word, bn_val, bn_word, nodes, complete
 
 
-def assert_matches_brute(mats, depth, budget=10**6, dedup=True):
+def assert_matches_brute(mats, depth, budget=10**6, oracle_dedup=True):
+    """The scan values canonical words only; an oracle that values every
+    word (``oracle_dedup=False``) must give the same answers, since a
+    rotation has the same spectral radius and the least rotation comes
+    first."""
     mats = np.ascontiguousarray(np.asarray(mats, dtype=np.complex128))
-    (max_rho, max_norm, best_val, best_word, best_len,
-     bn_val, bn_word, bn_len, nodes, complete) = _kernels.scan_words(
-        mats, depth, budget, dedup)
+    res = _kernels.scan_words(mats, depth, budget)
     (o_rho, o_norm, o_best_val, o_best_word, o_bn_val, o_bn_word,
-     o_nodes, o_complete) = brute_scan(mats, depth, budget, dedup)
-    assert nodes == o_nodes
-    assert bool(complete) == o_complete
-    np.testing.assert_allclose(max_rho, o_rho, rtol=REL, atol=0.0)
-    np.testing.assert_allclose(max_norm, o_norm, rtol=REL, atol=0.0)
-    assert tuple(best_word[:best_len]) == o_best_word
-    assert best_val == pytest.approx(o_best_val, rel=REL, abs=0.0)
-    assert tuple(bn_word[:bn_len]) == o_bn_word
-    assert bn_val == pytest.approx(o_bn_val, rel=REL, abs=REL)
+     o_nodes, o_complete) = brute_scan(mats, depth, budget, oracle_dedup)
+    assert res.nodes == o_nodes
+    assert res.complete == o_complete
+    np.testing.assert_allclose(res.max_rho, o_rho, rtol=REL, atol=0.0)
+    np.testing.assert_allclose(res.max_norm, o_norm, rtol=REL, atol=0.0)
+    assert res.best_word == o_best_word
+    assert res.best_val == pytest.approx(o_best_val, rel=REL, abs=0.0)
+    assert res.norm_word == o_bn_word
+    assert res.norm_log == pytest.approx(o_bn_val, rel=REL, abs=REL)
 
 
 def complex_family(seed, k, d=3):
@@ -89,12 +106,12 @@ DEPTH_FOR_K = {1: 8, 2: 7, 3: 5, 4: 4}
 
 class TestScanEquivalence:
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("dedup", [True, False])
-    def test_per_depth_maxima_agree(self, seed, dedup):
+    @pytest.mark.parametrize("oracle_dedup", [True, False])
+    def test_per_depth_maxima_agree(self, seed, oracle_dedup):
         # real families, K = 1..4
         k = seed + 1
         mats = random_family(seed, k=k, d=2 + seed % 2).mats
-        assert_matches_brute(mats, DEPTH_FOR_K[k], dedup=dedup)
+        assert_matches_brute(mats, DEPTH_FOR_K[k], oracle_dedup=oracle_dedup)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_best_word_agrees(self, seed):
@@ -104,14 +121,17 @@ class TestScanEquivalence:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_complex_without_dedup(self, k):
-        assert_matches_brute(complex_family(20 + k, k), DEPTH_FOR_K[k], dedup=False)
+        # the oracle values every word, the scan canonical words only
+        assert_matches_brute(complex_family(20 + k, k), DEPTH_FOR_K[k],
+                             oracle_dedup=False)
 
     @pytest.mark.parametrize("seed", [6, 19, 25])
     def test_rotation_ties_go_to_least_rotation(self, seed):
-        # without dedup every rotation of the best word ties exactly; on
-        # these families rounding puts a later rotation a few ulps ahead
+        # over every word each rotation of the best word ties exactly; on
+        # these families rounding puts a later rotation a few ulps ahead,
+        # and the tie still goes to the least rotation, the scan's word
         mats = random_family(seed, k=2, d=3).mats
-        assert_matches_brute(mats, 5, dedup=False)
+        assert_matches_brute(mats, 5, oracle_dedup=False)
 
     def test_max_norm_word_agrees(self):
         # unscaled, so the largest product norm sits at the deepest level
@@ -125,8 +145,9 @@ class TestScanEquivalence:
         mats = random_family(5, k=3).mats
         budget = 3 + 9 + 27 + extra
         assert_matches_brute(mats, 5, budget=budget)
-        out = _kernels.scan_words(np.ascontiguousarray(mats), 5, budget, True)
-        assert out[8] == (39 if extra == 0 else 12) and not out[9]
+        res = _kernels.scan_words(np.ascontiguousarray(mats), 5, budget)
+        assert res.nodes == (39 if extra == 0 else 12) and not res.complete
+        assert res.levels == (3 if extra == 0 else 2)
 
 
 class TestScreenWorstCases:
@@ -142,19 +163,18 @@ class TestScreenWorstCases:
             z = z + 1j * rng.standard_normal((3, 3, 3))
         mats = 0.9 * np.stack([np.linalg.qr(m)[0] for m in z])
         assert_matches_brute(mats, 5)
-        out = _kernels.scan_words(np.ascontiguousarray(mats, np.complex128),
-                                  5, 10**6, True)
-        assert tuple(out[3][:out[4]]) == (0,)
-        assert tuple(out[6][:out[7]]) == (0,)
+        res = _kernels.scan_words(np.ascontiguousarray(mats, np.complex128),
+                                  5, 10**6)
+        assert res.best_word == (1,) and res.norm_word == (1,)
 
     def test_nilpotent_products_reach_zero(self):
         # strictly upper triangular: every product of length >= 3 is 0
         rng = np.random.default_rng(4)
         mats = np.triu(rng.standard_normal((2, 3, 3)), k=1)
         assert_matches_brute(mats, 6)
-        out = _kernels.scan_words(np.ascontiguousarray(mats, np.complex128),
-                                  6, 10**6, True)
-        assert np.all(out[1][2:] == 0.0) and np.all(out[0] == 0.0)
+        res = _kernels.scan_words(np.ascontiguousarray(mats, np.complex128),
+                                  6, 10**6)
+        assert np.all(res.max_norm[2:] == 0.0) and np.all(res.max_rho == 0.0)
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_rank_one_frobenius_is_two_norm(self, cplx):
@@ -167,7 +187,7 @@ class TestScreenWorstCases:
             u = u + 1j * rng.standard_normal((3, 3))
         mats = np.einsum("ki,kj->kij", u, v) / 3.0
         assert_matches_brute(mats, 5)
-        assert_matches_brute(mats, 5, dedup=False)
+        assert_matches_brute(mats, 5, oracle_dedup=False)
 
     def test_tiny_products_are_not_screened(self):
         # the squares summed into ||P||_F underflow to 0 at depth 4; below
@@ -294,13 +314,26 @@ class TestScreen:
             assert kept.size <= _top1_kept(values_of, prods, fro, candidates)
 
 
+def _walk(k, n, primitive=False):
+    """Every word of length n as a letter array, with the step's lengths and
+    mask, walked from the root through ``child_necklaces``."""
+    words, lengths = np.zeros((1, 0), np.int64), np.ones(1, np.int64)
+    for _ in range(n):
+        words, lengths, mask = _kernels.child_necklaces(words, lengths, k,
+                                                        primitive)
+    return list(map(tuple, words.tolist())), lengths, mask
+
+
 class TestCanonicalMask:
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    """The prenecklace step against explicit rotations."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cached_index_matches_mask(self, k, n):
         index = _kernels.canonical_index(k, n)
-        np.testing.assert_array_equal(
-            index, np.flatnonzero(_kernels.canonical_mask(k, n)))
+        expected = [is_canonical(w)
+                    for w in itertools.product(range(k), repeat=n)]
+        np.testing.assert_array_equal(index, np.flatnonzero(expected))
         assert _kernels.canonical_index(k, n) is index
 
     def test_cached_index_is_read_only(self):
@@ -308,34 +341,59 @@ class TestCanonicalMask:
         with pytest.raises(ValueError):
             index[0] = 1
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_helper_agrees_with_mask(self, k, n):
-        expected = [is_canonical(w)
+        # the cached lengths of a full level, stepped on base-k codes
+        lengths, _ = _kernels._full_level(k, n)
+        expected = [lyndon_prefix(w)
                     for w in itertools.product(range(k), repeat=n)]
-        assert _kernels.canonical_mask(k, n).tolist() == expected
+        assert lengths.tolist() == expected
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_rows_agree_with_rotations(self, k, n):
-        # every word of the level, in a shuffled order
-        words = list(itertools.product(range(k), repeat=n))
-        order = np.random.default_rng(k * 10 + n).permutation(len(words))
-        rows = np.array(words, dtype=np.int64)[order]
-        expected = [is_canonical(words[i]) for i in order]
-        assert _kernels.canonical_rows(rows).tolist() == expected
+        # the step on letter arrays, over every word of each level
+        rows, lengths, canon = _walk(k, n)
+        assert rows == list(itertools.product(range(k), repeat=n))
+        assert lengths.tolist() == [lyndon_prefix(w) for w in rows]
+        assert canon.tolist() == [is_canonical(w) for w in rows]
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_primitive_rows_are_strictly_least(self, k, n):
         # strictly below each rotation: powers of shorter words drop out
-        words = list(itertools.product(range(k), repeat=n))
-        rows = np.array(words, dtype=np.int64).reshape(len(words), n)
-        expected = [all(w < w[s:] + w[:s] for s in range(1, n)) for w in words]
-        assert _kernels.canonical_rows(rows, primitive=True).tolist() == expected
+        rows, _, prim = _walk(k, n, primitive=True)
+        assert prim.tolist() == [is_primitive(w) for w in rows]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pruned_frontiers_to_depth_40(self, seed):
+        # a random part of each level is carried on with its lengths, past
+        # the depth where base-k codes overflow int64: up to 40
+        # prenecklaces (each has a prenecklace child, so canonical words
+        # stay in the frontier) and up to 20 other words
+        rng = np.random.default_rng(seed)
+        k = 2 + seed % 3
+        words, lengths = np.zeros((1, 0), np.int64), np.ones(1, np.int64)
+        canonical = 0
+        for n in range(1, 43):
+            _, _, prim = _kernels.child_necklaces(words, lengths, k,
+                                                  primitive=True)
+            words, lengths, canon = _kernels.child_necklaces(words, lengths, k)
+            rows = list(map(tuple, words.tolist()))
+            assert canon.tolist() == [is_canonical(w) for w in rows]
+            assert prim.tolist() == [is_primitive(w) for w in rows]
+            canonical += int(canon.sum())
+            keep = np.sort(np.concatenate([
+                rng.permutation(np.flatnonzero(lengths > 0))[:40],
+                rng.permutation(np.flatnonzero(lengths == 0))[:20]]))
+            words, lengths = words[keep], lengths[keep]
+        assert canonical > 200
 
     def test_rows_of_an_empty_frontier(self):
-        assert _kernels.canonical_rows(np.zeros((0, 4), np.int64)).size == 0
+        words, lengths, canon = _kernels.child_necklaces(
+            np.zeros((0, 4), np.int64), np.zeros(0, np.int64), 3)
+        assert words.shape == (0, 5) and lengths.size == canon.size == 0
 
 
 def _direct_log_norm(mats, path):
@@ -372,12 +430,12 @@ class TestPathEquivalence:
         # a one-letter scan walks the powers: n log of its level maximum
         # is log ||A^n||
         mat = np.array([[1.0, 1.0], [0.0, 0.9]], dtype=np.complex128)
-        max_norm = _kernels.scan_words(mat[None], 80, 10**6, True)[1]
+        max_norm = _kernels.scan_words(mat[None], 80, 10**6).max_norm
         got = np.arange(1, 81) * np.log(max_norm)
         want = [_direct_log_norm(mat[None], [0] * n) for n in range(1, 81)]
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_zero_matrix_neg_inf(self):
         mat = np.zeros((1, 2, 2), dtype=np.complex128)
-        out = _kernels.scan_words(mat, 5, 10**6, True)
-        assert np.all(out[1] == 0.0) and out[5] == -np.inf
+        res = _kernels.scan_words(mat, 5, 10**6)
+        assert np.all(res.max_norm == 0.0) and res.norm_log == -np.inf

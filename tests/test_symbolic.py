@@ -73,6 +73,27 @@ class TestMarkovMeasure:
         mu = MarkovMeasure.from_transition([[0.0, 1.0], [0.5, 0.5]])
         assert mu.p == pytest.approx([1 / 3, 2 / 3], abs=1e-10)
 
+    def test_from_periodic_transition(self):
+        # [DERIVED] the bipartite chain 1 -> {2, 3} -> 1 has period 2, so
+        # p P^n oscillates from the uniform start; its stationary law is
+        # (1/2, 1/4, 1/4)
+        mu = MarkovMeasure.from_transition(
+            [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert mu.p == pytest.approx([0.5, 0.25, 0.25], abs=1e-12)
+
+    @pytest.mark.parametrize("P, p", [
+        # letter 3 is transient and feeds the period-2 class {1, 2}
+        ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5]], [0.5, 0.5, 0.0]),
+        # two closed classes: any mixture of (1, 0, 0) and (0, 1/2, 1/2)
+        ([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]], None),
+    ])
+    def test_from_reducible_transition(self, P, p):
+        mu = MarkovMeasure.from_transition(P)
+        assert np.all(mu.p >= 0.0) and mu.p.sum() == pytest.approx(1.0)
+        assert check_stationarity(mu.p, mu.P)[1] <= 1e-14
+        if p is not None:
+            assert mu.p == pytest.approx(p, abs=1e-12)
+
     def test_check_stationarity(self):
         ok, res = check_stationarity([1 / 3, 2 / 3], [[0.0, 1.0], [0.5, 0.5]])
         assert ok and res <= 1e-12
