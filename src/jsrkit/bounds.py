@@ -42,16 +42,6 @@ class BoundsBracket:
     def width(self) -> float:
         return self.upper - self.lower
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "best_word": list(self.best_word),
-            "depth_explored": self.depth_explored,
-            "nodes_visited": self.nodes_visited,
-            "complete": self.complete,
-        }
-
 
 class BudgetExceededError(RuntimeError):
     """Node budget exhausted before the search finished; carries the partial result."""
@@ -98,30 +88,29 @@ def lower_bound(family: MatrixFamily, depth: int,
 def upper_bound(family: MatrixFamily, depth: int,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> float:
     """min over n = 1..depth of (max over |w| = n of ||P(w)||^(1/n))."""
-    res = _scan(family, depth, node_budget)
-    if not res.complete:
-        # partial per-depth maxima are not sound; fall back to depth 1
+    b = bounds_bracket(family, depth, node_budget)
+    if not b.complete:
         raise BudgetExceededError(
-            f"node budget {node_budget} exhausted at {res.nodes} nodes",
-            partial=family.scale)
-    return float(np.min(res.max_norm))
+            f"node budget {node_budget} exhausted at {b.nodes_visited} nodes",
+            partial=b.upper)
+    return b.upper
 
 
 def bounds_bracket(family: MatrixFamily, depth: int,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> BoundsBracket:
     """Exhaustive bracket [lower, upper] at one depth.
 
-    On budget exhaustion the lower is still sound (it is attained), but
-    interrupted per-depth norm maxima are not; the upper then falls back
-    to the depth-1 value max_k ||S_k|| and the bracket is flagged.
+    On budget exhaustion the bracket is flagged incomplete but stays
+    sound: the lower is attained, and the upper is the minimum over the
+    levels scanned before the cut (each was scanned whole), or
+    max_k ||S_k|| when not even level 1 fit.  ``depth_explored`` counts
+    the levels scanned.
     """
     res = _scan(family, depth, node_budget)
-    if res.complete:
-        upper = float(np.min(res.max_norm))
-        return BoundsBracket(res.best_val, upper, res.best_word, depth,
-                             res.nodes, True)
-    return BoundsBracket(res.best_val, family.scale, res.best_word, 1,
-                         res.nodes, False)
+    upper = (float(np.min(res.max_norm[:res.levels])) if res.levels
+             else family.scale)
+    return BoundsBracket(res.best_val, upper, res.best_word, res.levels,
+                         res.nodes, res.complete)
 
 
 def berger_wang_report(family: MatrixFamily, depth: int,

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 One subcommand per capability: bounds, finiteness, reduce, norm-check,
-ergodic, main-theorem, corollaries, sweep.  Every run prints its effective
-configuration, writes a human-readable summary to stdout, and optionally a
-JSON run report to --out.  Exit codes: 0 success, 1 error, 2 inconclusive.
+ergodic, main-theorem, corollaries, sweep.  Each takes only the flags its
+handler reads.  Every run prints its effective configuration, writes a
+human-readable summary to stdout, and optionally a JSON run report to
+--out, whose results are the library's records through ``io.to_json``.
+Exit codes: 0 success, 1 error, 2 inconclusive.
 """
 
 from __future__ import annotations
@@ -37,13 +39,21 @@ def _version() -> str:
         return "unknown"
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+# the shared settings a subcommand may take; the run report's config
+# lists those it has
+_SETTINGS = {
+    "depth": dict(type=int, default=DEFAULT_DEPTH),
+    "tol": dict(type=float, default=DEFAULT_TOL),
+    "budget": dict(type=int, default=DEFAULT_NODE_BUDGET,
+                   help="node budget for word-tree searches"),
+    "seed": dict(type=int, default=DEFAULT_SEED),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *settings: str) -> None:
     p.add_argument("family", help="family JSON file")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                   help="node budget for word-tree searches")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    for name in settings:
+        p.add_argument(f"--{name}", **_SETTINGS[name])
     p.add_argument("--transpose", action="store_true",
                    help="use the column-vector convention (transposes the family)")
     p.add_argument("--out", help="write the JSON run report here")
@@ -57,14 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("bounds", help="certified JSR bracket")
-    _add_common(p)
+    _add_common(p, "depth", "tol", "budget")
     p.add_argument("--prune", action="store_true",
                    help="branch-and-bound to width --tol instead of exhaustive depth")
     p.add_argument("--table", action="store_true",
                    help="also print the per-depth lower/upper table")
 
     p = sub.add_parser("finiteness", help="certify a spectrum-maximizing word")
-    _add_common(p)
+    _add_common(p, "depth")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--word", help="candidate word, e.g. 1,2")
     g.add_argument("--search", action="store_true",
@@ -72,14 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex-budget", type=int, default=VERTEX_BUDGET)
 
     p = sub.add_parser("reduce", help="block triangularization into irreducible blocks")
-    _add_common(p)
+    _add_common(p, "depth", "budget", "seed")
 
     p = sub.add_parser("norm-check", help="is a candidate norm extremal?")
-    _add_common(p)
+    _add_common(p, "depth", "budget")
     p.add_argument("--certificate", help="norm certificate JSON (default: Euclidean)")
 
     p = sub.add_parser("ergodic", help="Lyapunov exponent and extremality verdict")
-    _add_common(p)
+    _add_common(p, "depth", "budget", "seed")
+    p.add_argument("--tol", type=float,
+                   help="verdict tolerance (default: 1e-6 for exact methods, "
+                        "3 standard errors for Monte Carlo)")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--markov", help="Markov measure JSON file")
     g.add_argument("--periodic", help="periodic sequence (file or inline word)")
@@ -89,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("main-theorem",
                        help="measure + periodic density point -> finiteness certificate")
-    _add_common(p)
+    _add_common(p, "depth", "budget")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--markov")
     g.add_argument("--periodic")
@@ -98,11 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corollaries",
                        help="extremal Markov measure reports (finiteness search, stability scan)")
-    _add_common(p)
+    _add_common(p, "depth", "budget")
     p.add_argument("--markov", required=True)
 
     p = sub.add_parser("sweep", help="parameter sweep, e.g. the alpha family")
-    _add_common(p)
+    _add_common(p, "depth", "budget")
     p.add_argument("--param", default="alpha",
                    help="parameter name (recorded in rows)")
     p.add_argument("--from", dest="start", type=float, required=True)
@@ -115,9 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_config(args) -> dict:
-    cfg = {"depth": args.depth, "tol": args.tol, "budget": args.budget,
-           "seed": args.seed, "transpose": args.transpose,
-           "version": _version()}
+    cfg = {k: getattr(args, k) for k in _SETTINGS if hasattr(args, k)}
+    cfg.update(transpose=args.transpose, version=_version())
     print("config: " + " ".join(f"{k}={v}" for k, v in cfg.items()))
     return cfg
 
@@ -140,7 +152,7 @@ def _cmd_bounds(args, family):
         f"width  {bracket.width:.3e}   depth {bracket.depth_explored}   "
         f"nodes {bracket.nodes_visited}   complete {bracket.complete}",
     ]
-    results = {"bracket": bracket.to_json_dict()}
+    results = {"bracket": bracket}
     if args.table:
         rows = bounds_mod.berger_wang_report(family, args.depth, args.budget)
         results["berger_wang"] = rows
@@ -165,7 +177,7 @@ def _cmd_finiteness(args, family):
         lines.append(f"polytope vertices: {cert.certificate.vertices.shape[0]}, "
                      f"margin {cert.certificate.margin:.3e}")
     code = EXIT_OK if cert.verdict == "certified" else EXIT_INCONCLUSIVE
-    return {"finiteness": cert.to_json_dict()}, lines, code
+    return {"finiteness": cert}, lines, code
 
 
 def _cmd_reduce(args, family):
@@ -175,10 +187,9 @@ def _cmd_reduce(args, family):
              f"reconstruction residual {result.reconstruction_residual():.3e}",
              f"dominant blocks {list(report.dominant)}"
              + ("  (ambiguous)" if report.ambiguous else "")]
-    results = {"reduction": result.to_json_dict(),
-               "dominant_blocks": list(report.dominant),
+    results = {"reduction": result, "dominant_blocks": report.dominant,
                "ambiguous": report.ambiguous,
-               "block_brackets": [b.to_json_dict() for b in report.block_brackets]}
+               "block_brackets": report.block_brackets}
     return results, lines, EXIT_OK
 
 
@@ -189,8 +200,7 @@ def _cmd_norm_check(args, family):
             dim=doc["dim"], kind=doc.get("kind", "polytope"),
             vertices=np.asarray(doc["vertices"], float)
             if doc.get("vertices") is not None else None,
-            transform=np.asarray(doc["transform"])
-            if doc.get("transform") is not None else None)
+            transform=doc.get("transform"))
     else:
         cert = extremal.euclidean_certificate(family.dim)
     bracket = bounds_mod.bounds_bracket(family, args.depth, args.budget)
@@ -199,7 +209,7 @@ def _cmd_norm_check(args, family):
              f"JSR estimate      {bracket.lower:.12g}  (bracket width {bracket.width:.3e})",
              f"extremal: {ok}   gap {gap:.3e}"]
     results = {"extremal": ok, "gap": gap, "attained": attained,
-               "bracket": bracket.to_json_dict()}
+               "bracket": bracket}
     return results, lines, EXIT_OK
 
 
@@ -213,15 +223,16 @@ def _parse_measure(args, family):
 def _cmd_ergodic(args, family):
     mu = _parse_measure(args, family)
     verdict = ergodic.extremality_verdict(
-        family, mu, args.depth, node_budget=args.budget, exact_n=args.n,
-        mc_samples=args.mc_samples, mc_length=args.mc_length, seed=args.seed)
+        family, mu, args.depth, tol=args.tol, node_budget=args.budget,
+        exact_n=args.n, mc_samples=args.mc_samples, mc_length=args.mc_length,
+        seed=args.seed)
     lines = [f"lyapunov {verdict.lyapunov.value:.12g}  "
              f"({verdict.lyapunov.method}, n/samples {verdict.lyapunov.n_or_samples}, "
              f"stderr {verdict.lyapunov.stderr:.3e})",
              f"bracket  [{verdict.jsr_bracket.lower:.12g}, {verdict.jsr_bracket.upper:.12g}]",
              f"verdict  {verdict.verdict}   gap {verdict.gap:.3e}   tol {verdict.tol:.3e}"]
     code = EXIT_INCONCLUSIVE if verdict.verdict == "undetermined" else EXIT_OK
-    return {"verdict": verdict.to_json_dict()}, lines, code
+    return {"verdict": verdict}, lines, code
 
 
 def _cmd_main_theorem(args, family):
@@ -234,12 +245,8 @@ def _cmd_main_theorem(args, family):
         mark = "pass" if step.passed else "FAIL"
         lines.append(f"[{mark}] {step.name}: {step.detail}")
     lines.append(f"success: {report.success}")
-    inconclusive = any(
-        (not s.passed) and ("inconclusive" in s.detail or "undetermined" in s.detail)
-        for s in report.steps)
-    code = EXIT_OK if report.success else (
-        EXIT_INCONCLUSIVE if inconclusive else EXIT_OK)
-    return {"main_theorem": report.to_json_dict()}, lines, code
+    code = EXIT_OK if report.decided else EXIT_INCONCLUSIVE
+    return {"main_theorem": report}, lines, code
 
 
 def _cmd_corollaries(args, family):
@@ -255,7 +262,7 @@ def _cmd_corollaries(args, family):
                         f"{','.join(map(str, report.finiteness.word))}")
     code = (EXIT_INCONCLUSIVE
             if report.extremality.verdict == "undetermined" else EXIT_OK)
-    return {"corollaries": report.to_json_dict()}, lines, code
+    return {"corollaries": report}, lines, code
 
 
 def _cmd_sweep(args, family):
@@ -321,12 +328,13 @@ def main(argv=None) -> int:
             "inputs": {"family": str(args.family),
                        "argv": argv if argv is not None else sys.argv[1:]},
             "config": config,
-            "results": results,
+            "results": io.to_json(results),
             "wall_time_s": time.perf_counter() - started,
-            "seed": args.seed,
             "version": _version(),
             "exit_code": code,
         }
+        if "seed" in config:
+            report["seed"] = args.seed
         Path(args.out).write_text(json.dumps(report, indent=2))
     return code
 

@@ -31,10 +31,6 @@ class LyapunovEstimate:
     n_or_samples: int
     stderr: float = 0.0
 
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "method": self.method,
-                "n_or_samples": self.n_or_samples, "stderr": self.stderr}
-
 
 class SupportTooLargeError(RuntimeError):
     """Exact enumeration would exceed the word budget; use monte-carlo."""
@@ -122,11 +118,6 @@ class ExtremalityVerdict:
     gap: float        # lyapunov value minus log(bracket lower)
     tol: float
 
-    def to_json_dict(self) -> dict:
-        return {"verdict": self.verdict, "gap": self.gap, "tol": self.tol,
-                "lyapunov": self.lyapunov.to_json_dict(),
-                "jsr_bracket": self.jsr_bracket.to_json_dict()}
-
 
 def _log_or_neginf(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
@@ -195,11 +186,8 @@ def finiteness_to_measure(family: MatrixFamily, word: Word,
 @dataclass(frozen=True)
 class PipelineStep:
     name: str
-    passed: bool
+    passed: bool | None  # None: the step could not decide
     detail: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 @dataclass(frozen=True)
@@ -214,11 +202,11 @@ class MainTheoremReport:
                 return s.name
         return None
 
-    def to_json_dict(self) -> dict:
-        return {"success": self.success,
-                "steps": [s.to_json_dict() for s in self.steps],
-                "certificate": self.certificate.to_json_dict()
-                if self.certificate else None}
+    @property
+    def decided(self) -> bool:
+        """False when a step could not decide: an undetermined extremality
+        verdict, an inconclusive certificate, or a complex family."""
+        return all(s.passed is not None for s in self.steps)
 
 
 def measure_to_finiteness(family: MatrixFamily, mu: ShiftMeasure,
@@ -232,7 +220,8 @@ def measure_to_finiteness(family: MatrixFamily, mu: ShiftMeasure,
     Verifies (i) the density-point property, (ii) numerical extremality of
     the measure, (iii) that the period word attains the JSR lower bound,
     and (iv) a polytope certificate for the word.  All steps past (i) are
-    numerical; the only theorem-grade claim is the final certificate.
+    numerical; the only theorem-grade claim is the final certificate.  A
+    step that cannot decide has ``passed`` None, and the run stops there.
     """
     steps: list[PipelineStep] = []
     density = is_density_point(mu, xi)
@@ -243,7 +232,9 @@ def measure_to_finiteness(family: MatrixFamily, mu: ShiftMeasure,
         return MainTheoremReport(False, tuple(steps))
     verdict = extremality_verdict(family, mu, depth, node_budget=node_budget)
     steps.append(PipelineStep(
-        "extremality", verdict.verdict == "extremal",
+        "extremality",
+        None if verdict.verdict == "undetermined"
+        else verdict.verdict == "extremal",
         f"verdict: {verdict.verdict}, gap {verdict.gap:.3e}"))
     if verdict.verdict != "extremal":
         return MainTheoremReport(False, tuple(steps))
@@ -259,10 +250,10 @@ def measure_to_finiteness(family: MatrixFamily, mu: ShiftMeasure,
     try:
         cert = certify_finiteness(family, word, vertex_budget)
     except ComplexFamilyError as exc:
-        steps.append(PipelineStep("polytope-certificate", False, str(exc)))
+        steps.append(PipelineStep("polytope-certificate", None, str(exc)))
         return MainTheoremReport(False, tuple(steps))
     steps.append(PipelineStep(
-        "polytope-certificate", cert.verdict == "certified",
+        "polytope-certificate", True if cert.verdict == "certified" else None,
         cert.reason or f"value {cert.value:.12g}"))
     return MainTheoremReport(cert.verdict == "certified", tuple(steps),
                              cert if cert.verdict == "certified" else None)
@@ -275,13 +266,6 @@ class CorollaryReport:
     scan_max: float          # max averaged spectral value over |w| <= depth
     upper_bound: float
     stability_conclusion: str
-
-    def to_json_dict(self) -> dict:
-        return {"extremality": self.extremality.to_json_dict(),
-                "finiteness": self.finiteness.to_json_dict()
-                if self.finiteness else None,
-                "scan_max": self.scan_max, "upper_bound": self.upper_bound,
-                "stability_conclusion": self.stability_conclusion}
 
 
 def _ranked_candidate_words(family: MatrixFamily, max_len: int,

@@ -60,21 +60,14 @@ class NormCertificate:
             if v.ndim != 2 or v.shape[1] != self.dim:
                 raise ValueError(f"vertices must be (m, {self.dim})")
             object.__setattr__(self, "vertices", v)
+        if self.transform is not None:
+            object.__setattr__(self, "transform", np.asarray(self.transform))
 
     def spans(self) -> bool:
         if self.kind == "euclidean":
             return True
         sv = np.linalg.svd(self.vertices, compute_uv=False)
         return sv.size >= self.dim and sv[self.dim - 1] > 1e-12 * sv[0]
-
-    def to_json_dict(self) -> dict:
-        out = {"dim": self.dim, "kind": self.kind, "margin": self.margin,
-               "status": self.status}
-        if self.vertices is not None:
-            out["vertices"] = self.vertices.tolist()
-        if self.transform is not None:
-            out["transform"] = np.asarray(self.transform).tolist()
-        return out
 
 
 def euclidean_certificate(dim: int, transform=None) -> NormCertificate:
@@ -96,7 +89,7 @@ def norm_value(cert: NormCertificate, x) -> float:
     if cert.kind == "euclidean":
         x = np.asarray(x, dtype=np.complex128)
         if cert.transform is not None:
-            x = x @ np.asarray(cert.transform)
+            x = x @ cert.transform
         return float(np.linalg.norm(x))
     x = _realify(x)
     if x.shape != (cert.dim,):
@@ -167,11 +160,6 @@ class ProbeResult:
     depths_scanned: int
     witness_word: Word | None = None
 
-    def to_json_dict(self) -> dict:
-        return {"verdict": self.verdict, "max_log_norm": self.max_log_norm,
-                "depths_scanned": self.depths_scanned,
-                "witness_word": list(self.witness_word) if self.witness_word else None}
-
 
 def boundedness_probe(family: MatrixFamily, depth: int,
                       growth_threshold: float = GROWTH_THRESHOLD,
@@ -212,19 +200,12 @@ class FinitenessCertificate:
     certificate: NormCertificate | None = None
     reason: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "word": list(self.word),
-            "value": self.value,
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "certificate": self.certificate.to_json_dict() if self.certificate else None,
-        }
-
 
 def _best_rotation(mats_real: np.ndarray, word: Word) -> tuple[Word, np.ndarray] | str:
     """Cyclic rotation of the word whose product has the cleanest leading
-    eigenpair: simple, real, positive.  Returns a reason string on failure."""
+    eigenpair: simple and real, of either sign (the polytope is balanced,
+    so an eigenvalue -1 of the normalized product maps the seed v to -v,
+    which is inside it).  Returns a reason string on failure."""
     n = len(word)
     rots = (np.arange(n)[:, None] + np.arange(n)) % n  # rotation s starts at s
     letters = np.asarray(word)[rots] - 1
@@ -238,10 +219,9 @@ def _best_rotation(mats_real: np.ndarray, word: Word) -> tuple[Word, np.ndarray]
         return "leading eigenvalue of the word product is zero"
     second = np.abs(ev[:, 1]) if ev.shape[1] > 1 else 0.0
     gap = (mag - second) / mag
-    usable = np.flatnonzero((np.abs(ev[:, 0].imag) <= 1e-9 * mag)
-                            & (ev[:, 0].real > 0))
+    usable = np.flatnonzero(np.abs(ev[:, 0].imag) <= 1e-9 * mag)
     if not usable.size:
-        return "no cyclic rotation has a simple real-positive leading eigenvalue"
+        return "no cyclic rotation has a real leading eigenvalue"
     s = usable[_kernels.first_near_max(gap[usable], 1e-15)]
     if gap[s] <= 1e-12:
         return "leading eigenvalue is (numerically) not simple"

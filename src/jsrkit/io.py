@@ -10,10 +10,13 @@ A family file is JSON:
 Entries are real numbers or [re, im] pairs.  Measures are JSON too:
 ``{"p": [...], "P": [[...]]}`` for Markov (p optional, computed from P when
 missing) and ``{"period": [1, 2]}`` for periodic sequences.
+
+Result records are written by ``to_json``, the one report encoder.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -101,6 +104,32 @@ def family_to_dict(family: MatrixFamily, labels=None) -> dict:
 
 def serialize_family(family: MatrixFamily, path: str | Path, labels=None) -> None:
     Path(path).write_text(json.dumps(family_to_dict(family, labels), indent=2))
+
+
+def to_json(value):
+    """A result record as JSON-ready data, field by field and recursively.
+
+    Tuples become lists and numpy scalars numbers; real arrays become
+    nested lists, and complex arrays (every entry, even a real one)
+    ``[re, im]`` pairs.  A ``MatrixFamily`` becomes its matrices, and a
+    dataclass field with ``metadata={"report": False}`` is left out.
+    """
+    if isinstance(value, MatrixFamily):
+        return to_json(value.mats)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: to_json(getattr(value, f.name))
+                for f in dataclasses.fields(value)
+                if f.metadata.get("report", True)}
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic, complex)):
+        a = np.asarray(value)
+        if np.iscomplexobj(a):
+            a = np.stack([a.real, a.imag], axis=-1)
+        return a.tolist()
+    return value
 
 
 def parse_markov(path: str | Path) -> MarkovMeasure:

@@ -192,7 +192,7 @@ class ReductionResult:
     """Unitary similarity into lower-block-triangular form with irreducible
     diagonal blocks: transform^H S_k transform reproduces the layout."""
 
-    family: MatrixFamily
+    family: MatrixFamily = field(metadata={"report": False})  # the input
     transform: np.ndarray = field(repr=False)  # unitary P, P^{-1} = P^H
     block_sizes: tuple[int, ...] = ()
     blocks: tuple[MatrixFamily, ...] = ()
@@ -217,18 +217,6 @@ class ReductionResult:
                 seg = t[:, starts[a]:starts[a + 1], starts[b]:starts[b + 1]]
                 worst = max(worst, float(np.max(np.abs(seg), initial=0.0)))
         return worst / scale
-
-    def to_json_dict(self) -> dict:
-        return {
-            "block_sizes": list(self.block_sizes),
-            "structure": self.structure,
-            "transform": _encode_complex(self.transform),
-            "blocks": [[_encode_complex(m) for m in fam.mats] for fam in self.blocks],
-        }
-
-
-def _encode_complex(a: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(a)]
 
 
 def block_triangularize(family: MatrixFamily, seed: int = 0) -> ReductionResult:

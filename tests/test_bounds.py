@@ -110,12 +110,29 @@ class TestBudget:
             upper_bound(golden_pair, 10, node_budget=20)
 
     def test_bracket_falls_back_soundly(self, golden_pair):
-        b = bounds_bracket(golden_pair, 10, node_budget=20)
-        assert not b.complete
-        assert b.depth_explored == 1
-        # the fallback upper is max_k ||S_k||, still a true upper bound
-        assert b.upper == pytest.approx(golden_pair.scale)
-        assert b.lower <= b.upper + 1e-12
+        # a cut scan keeps every level that fit whole in the budget: its
+        # bracket is the brute-force bracket at that depth, and with no
+        # level at all the upper is max_k ||S_k||
+        for fam in (golden_pair, random_family(3, k=3)):
+            k = fam.size
+            for budget in (1, k, k + k * k, 20, 100):
+                levels = 0
+                while sum(k ** n for n in range(1, levels + 2)) <= budget:
+                    levels += 1
+                b = bounds_bracket(fam, 10, node_budget=budget)
+                assert not b.complete
+                assert b.depth_explored == levels
+                if levels:
+                    assert b.upper == pytest.approx(brute_upper(fam, levels),
+                                                    rel=1e-12)
+                    assert b.lower == pytest.approx(brute_lower(fam, levels),
+                                                    rel=1e-10)
+                else:
+                    assert b.upper == fam.scale
+                assert b.lower <= b.upper + 1e-12
+                with pytest.raises(BudgetExceededError) as exc:
+                    upper_bound(fam, 10, node_budget=budget)
+                assert exc.value.partial == b.upper
 
     def test_report_raises(self, golden_pair):
         with pytest.raises(BudgetExceededError):

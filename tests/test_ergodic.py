@@ -228,6 +228,21 @@ class TestPipelines:
         report = measure_to_finiteness(golden_pair, PeriodicMeasure(xi), xi)
         assert not report.success
         assert report.failing_step() == "extremality"
+        assert report.steps[-1].passed is False and report.decided
+
+    def test_reverse_undecided_steps(self, golden_pair):
+        # a depth-1 bracket cannot decide extremality, and one vertex
+        # cannot close the golden pair's polytope: neither is a "no"
+        xi = PeriodicSequence(2, (1, 2))
+        shallow = measure_to_finiteness(golden_pair, PeriodicMeasure(xi), xi,
+                                        depth=1)
+        capped = measure_to_finiteness(golden_pair, PeriodicMeasure(xi), xi,
+                                       vertex_budget=1)
+        for report, step in ((shallow, "extremality"),
+                             (capped, "polytope-certificate")):
+            assert not report.success and not report.decided
+            assert report.failing_step() == step
+            assert report.steps[-1].passed is None
 
 
 class TestCorollaries:

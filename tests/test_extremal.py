@@ -191,6 +191,22 @@ class TestCertifyFiniteness:
         ok, _, attained = check_extremal_norm(fam, poly, 0.5)
         assert ok and attained == pytest.approx(0.5, rel=1e-9)
 
+    def test_negative_leading_eigenvalue_certified(self):
+        # S_1 = diag(-2, 1) leads with -2: the balanced polytope holds -v,
+        # the image of its seed v, so the word (1,) certifies rho = 2
+        fam = MatrixFamily.from_matrices([np.diag([-2.0, 1.0]),
+                                          [[0.5, 0.3], [0.2, -0.4]]])
+        cert = certify_finiteness(fam, (1,))
+        assert cert.verdict == "certified"
+        assert cert.value == pytest.approx(2.0, abs=1e-12)
+        ok, gap, _ = check_extremal_norm(fam, cert.certificate, cert.value)
+        assert ok and gap == pytest.approx(0.0, abs=1e-12)
+
+    def test_complex_leading_eigenvalue_refused(self, rotation):
+        cert = certify_finiteness(rotation, (1,))
+        assert cert.verdict == "inconclusive"
+        assert cert.reason == "no cyclic rotation has a real leading eigenvalue"
+
     def test_invariant_line_is_not_certified(self):
         # the closure of the word (1,)'s eigenvector (1, 0) is the
         # invariant line x2 = 0, on which the family has radius 1; off it

@@ -1,10 +1,16 @@
+import dataclasses
 import json
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from jsrkit import MatrixFamily, cli, io
+from jsrkit import (MatrixFamily, PeriodicMeasure, PeriodicSequence,
+                    block_triangularize, boundedness_probe, bounds_bracket,
+                    certify_finiteness, cli, corollary_reports,
+                    dominant_blocks, euclidean_certificate,
+                    extremality_verdict, io, lyapunov_periodic,
+                    measure_to_finiteness)
 
 from conftest import PHI
 
@@ -92,6 +98,81 @@ class TestMeasureParsing:
         assert io.parse_word("1,2,1") == (1, 2, 1)
         with pytest.raises(io.FamilyFileError):
             io.parse_word("a,b")
+
+
+def _assert_encodes(record, doc):
+    """doc is record after io.to_json and a JSON round trip."""
+    if isinstance(record, MatrixFamily):
+        record = record.mats
+    if dataclasses.is_dataclass(record):
+        names = [f.name for f in dataclasses.fields(record)
+                 if f.metadata.get("report", True)]
+        assert list(doc) == names
+        for name in names:
+            _assert_encodes(getattr(record, name), doc[name])
+    elif isinstance(record, tuple):
+        assert isinstance(doc, list) and len(doc) == len(record)
+        for item, item_doc in zip(record, doc):
+            _assert_encodes(item, item_doc)
+    elif isinstance(record, np.ndarray):
+        got = np.asarray(doc, dtype=float)
+        if np.iscomplexobj(record):
+            got = got[..., 0] + 1j * got[..., 1]
+        np.testing.assert_array_equal(got, record)
+    else:
+        assert doc == record
+
+
+_XI = PeriodicSequence(2, (1, 2))
+_UNIFORM = io.parse_markov(data_path("uniform_markov.json"))
+RECORDS = {
+    "BoundsBracket": lambda fam: bounds_bracket(fam, 6),
+    "NormCertificate": lambda fam: certify_finiteness(fam, (1, 2)).certificate,
+    "ProbeResult": lambda fam: boundedness_probe(fam.scaled(2.0), 30),
+    "FinitenessCertificate": lambda fam: certify_finiteness(fam, (1, 2)),
+    "LyapunovEstimate": lambda fam: lyapunov_periodic(fam, _XI),
+    "ExtremalityVerdict": lambda fam: extremality_verdict(
+        fam, PeriodicMeasure(_XI), 6),
+    "PipelineStep": lambda fam: measure_to_finiteness(
+        fam, PeriodicMeasure(_XI), _XI).steps[0],
+    "MainTheoremReport": lambda fam: measure_to_finiteness(
+        fam, PeriodicMeasure(_XI), _XI),
+    "CorollaryReport": lambda fam: corollary_reports(fam, _UNIFORM, 6),
+    "ReductionResult": lambda fam: block_triangularize(fam),
+    "DominanceReport": lambda fam: dominant_blocks(block_triangularize(fam), 6),
+}
+
+
+class TestToJson:
+    @pytest.mark.parametrize("kind", RECORDS)
+    def test_record_round_trips(self, kind, golden_pair):
+        record = RECORDS[kind](golden_pair)
+        assert type(record).__name__ == kind
+        _assert_encodes(record, json.loads(json.dumps(io.to_json(record))))
+
+    def test_complex_transform_certificate(self):
+        cert = euclidean_certificate(2, [[1, 1j], [0, 1]])
+        doc = json.loads(json.dumps(io.to_json(cert)))
+        assert doc["transform"] == [[[1, 0], [0, 1]], [[0, 0], [1, 0]]]
+        assert doc["vertices"] is None
+
+    def test_reduction_leaves_family_out(self, shear):
+        result = block_triangularize(shear)
+        doc = json.loads(json.dumps(io.to_json(result)))
+        assert set(doc) == {"transform", "block_sizes", "blocks", "structure"}
+        assert doc["block_sizes"] == [1, 1]
+        # every entry is an [re, im] pair, real ones too
+        assert doc["transform"] == [[[x.real, x.imag] for x in row]
+                                    for row in result.transform]
+        assert doc["blocks"] == [[[[[x.real, x.imag] for x in row]
+                                   for row in m] for m in block.mats]
+                                 for block in result.blocks]
+
+    def test_numpy_scalars_and_tuples(self):
+        doc = io.to_json({"a": (np.float64(0.5), np.int64(3), np.bool_(True)),
+                          "z": np.complex128(1 - 2j), "inf": -np.inf})
+        assert doc == {"a": [0.5, 3, True], "z": [1.0, -2.0], "inf": -np.inf}
+        assert [type(x) for x in doc["a"]] == [float, int, bool]
 
 
 class TestCliBounds:
@@ -193,6 +274,26 @@ class TestCliErgodic:
                          "--periodic", "1,2", "--depth", "1", "--tol", "1e-9"])
         assert code == 2
 
+    def test_tol_is_the_verdict_tolerance(self, tmp_path, capsys):
+        report = tmp_path / "run.json"
+        code = cli.main(["ergodic", data_path("golden_pair.json"),
+                         "--periodic", "1,2", "--depth", "10", "--tol", "1e-9",
+                         "--out", str(report)])
+        doc = json.loads(report.read_text())
+        assert doc["config"]["tol"] == 1e-9
+        assert doc["results"]["verdict"]["tol"] == 1e-9
+        assert code == 0 and doc["results"]["verdict"]["verdict"] == "extremal"
+
+    def test_default_tol_is_the_library_default(self, tmp_path, capsys):
+        # Monte Carlo keeps its 3 standard errors
+        report = tmp_path / "run.json"
+        cli.main(["ergodic", data_path("golden_pair.json"),
+                  "--markov", data_path("asymmetric_markov.json"),
+                  "--mc-samples", "20", "--mc-length", "200",
+                  "--out", str(report)])
+        verdict = json.loads(report.read_text())["results"]["verdict"]
+        assert verdict["tol"] == 3.0 * verdict["lyapunov"]["stderr"] > 0
+
 
 class TestCliMainTheorem:
     def test_success(self, capsys):
@@ -208,6 +309,22 @@ class TestCliMainTheorem:
         out = capsys.readouterr().out
         assert "FAIL] density-point" in out
         assert "success: False" in out
+
+    def test_inconclusive_certificate_exit_code(self, capsys):
+        # the certificate step, not a word in its text, makes the run
+        # inconclusive; a definite "no" (the density failure) exits 0
+        code = cli.main(["main-theorem", data_path("golden_pair.json"),
+                         "--periodic", "1,2", "--xi", "1,2",
+                         "--vertex-budget", "1"])
+        assert "[FAIL] polytope-certificate" in capsys.readouterr().out
+        assert code == 2
+
+    def test_undetermined_extremality_exit_code(self, capsys):
+        code = cli.main(["main-theorem", data_path("golden_pair.json"),
+                         "--periodic", "1,2", "--xi", "1,2", "--depth", "1"])
+        assert "[FAIL] extremality: verdict: undetermined" in \
+            capsys.readouterr().out
+        assert code == 2
 
 
 class TestCliCorollaries:
@@ -252,3 +369,43 @@ class TestCliTranspose:
         b2 = json.loads(r2.read_text())["results"]["bracket"]
         assert b1["lower"] == pytest.approx(b2["lower"], rel=1e-12)
         assert b1["upper"] == pytest.approx(b2["upper"], rel=1e-12)
+
+
+_GOLDEN = data_path("golden_pair.json")
+_MARKOV = data_path("uniform_markov.json")
+# the arguments each subcommand needs, and the settings it reads
+SUBCOMMANDS = {
+    "bounds": ([], {"depth", "tol", "budget"}),
+    "finiteness": (["--word", "1,2"], {"depth"}),
+    "reduce": ([], {"depth", "budget", "seed"}),
+    "norm-check": ([], {"depth", "budget"}),
+    "ergodic": (["--periodic", "1,2"], {"depth", "tol", "budget", "seed"}),
+    "main-theorem": (["--periodic", "1,2", "--xi", "1,2"], {"depth", "budget"}),
+    "corollaries": (["--markov", _MARKOV], {"depth", "budget"}),
+    "sweep": (["--from", "0.6", "--to", "0.7", "--steps", "2"],
+              {"depth", "budget"}),
+}
+
+
+class TestCliFlags:
+    @pytest.mark.parametrize("sub,flag", [
+        (sub, flag) for sub, (_, read) in SUBCOMMANDS.items()
+        for flag in ("depth", "tol", "budget", "seed") if flag not in read])
+    def test_unread_flag_rejected(self, sub, flag, capsys):
+        args, _ = SUBCOMMANDS[sub]
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([sub, _GOLDEN, *args, f"--{flag}", "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_config_lists_the_read_flags(self, sub, tmp_path, capsys):
+        args, read = SUBCOMMANDS[sub]
+        report = tmp_path / "run.json"
+        cli.main([sub, _GOLDEN, *args, "--depth", "4", "--out", str(report)])
+        doc = json.loads(report.read_text())
+        assert set(doc["config"]) == read | {"transpose", "version"}
+        assert ("seed" in doc) == ("seed" in read)
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("config: depth=4 ")
+        assert {kv.split("=")[0] for kv in line.split()[1:]} == set(doc["config"])
