@@ -196,11 +196,7 @@ def _cmd_reduce(args, family):
 def _cmd_norm_check(args, family):
     if args.certificate:
         doc = json.loads(Path(args.certificate).read_text())
-        cert = extremal.NormCertificate(
-            dim=doc["dim"], kind=doc.get("kind", "polytope"),
-            vertices=np.asarray(doc["vertices"], float)
-            if doc.get("vertices") is not None else None,
-            transform=doc.get("transform"))
+        cert = io.certificate_from_json(doc)
     else:
         cert = extremal.euclidean_certificate(family.dim)
     bracket = bounds_mod.bounds_bracket(family, args.depth, args.budget)

@@ -9,6 +9,11 @@ finite vertex set; the latter is what ``certify_finiteness`` constructs by
 closing the vertex orbit of a spectrum-maximizing word's leading
 eigenvector under the normalized generators.
 
+Every polytope gauge is read off the facet form of the balanced hull
+(one qhull hull per vertex set, then one matmul for any number of
+points) in dimension up to FACET_MAX_DIM; beyond that, or when qhull
+fails, each gauge is a linear program.
+
 Polytope machinery is real-only; complex families get bounds and
 Euclidean-norm checking.
 """
@@ -96,18 +101,68 @@ def norm_value(cert: NormCertificate, x) -> float:
         raise ValueError(f"vector must have dim {cert.dim}")
     if not cert.spans():
         raise DegenerateNormError("vertex set does not span the space")
-    return _gauge(cert.vertices, x)
+    return float(_gauge(cert.vertices)(x[None])[0])
 
 
-def _gauge(vertices: np.ndarray, x: np.ndarray) -> float:
+# beyond this dimension a balanced hull of a few dozen vertices has too
+# many facets to enumerate (thousands at d = 6), so gauges are LPs
+FACET_MAX_DIM = 6
+# relative residual off span(V) beyond which a point is outside every
+# multiple of the hull; rounding leaves about 1e-16
+SPAN_TOL = 1e-9
+
+
+def _gauge(vertices: np.ndarray):
+    """The gauge of the balanced hull of ±vertices, as a function that maps
+    an (n, d) stack of points to their n gauges (inf off span(vertices)).
+
+    In d <= FACET_MAX_DIM it is exact to rounding: the points are taken
+    into orthonormal coordinates Q of span(V), and each facet {y: a.y = 1}
+    of the hull of ±VQ (qhull; a segment in rank 1) gives one row a, so
+    gauge(x) = max(0, max_a a.(xQ)).  Beyond that dimension, or when qhull
+    fails on a nearly flat set, each gauge is ``_lp_gauge``.
+    """
+    def lp(points):
+        return np.array([_lp_gauge(vertices, x) for x in points])
+
+    if vertices.shape[1] > FACET_MAX_DIM:
+        return lp
+    # imported here: scipy is most of the import time of jsrkit, and only
+    # polytope norms need it
+    from scipy.spatial import ConvexHull, QhullError
+
+    _, sv, vh = np.linalg.svd(vertices, full_matrices=False)
+    basis = vh[sv > 1e-12 * sv[0]].T  # rank as in NormCertificate.spans
+    y = vertices @ basis
+    if basis.shape[1] == 1:
+        rows = np.array([[1.0], [-1.0]]) / np.max(np.abs(y))
+    else:
+        try:
+            eq = ConvexHull(np.vstack([y, -y])).equations
+        except QhullError:
+            return lp
+        rows = eq[:, :-1] / -eq[:, -1:]
+
+    def facet(points):
+        coords = points @ basis
+        g = np.maximum(0.0, np.max(coords @ rows.T, axis=1))
+        off = np.linalg.norm(points - coords @ basis.T, axis=1)
+        g[off > SPAN_TOL * np.linalg.norm(points, axis=1)] = np.inf
+        return g
+
+    return facet
+
+
+def _lp_gauge(vertices: np.ndarray, x: np.ndarray) -> float:
     """min sum |c| subject to c @ vertices = x (inf if x is outside the span).
 
     The gauge is positively homogeneous, so x is solved at max-abs 1 and the
     optimum scaled back: HiGHS reads entries below its ~1e-7 feasibility
     tolerance as 0, which would make tiny vectors look like the origin.
+    That tolerance also bounds its accuracy: about 1e-7 relative.
     """
     # imported here: scipy.optimize is most of the import time of jsrkit,
-    # and only certification solves linear programs
+    # and only gauges in more than FACET_MAX_DIM dimensions solve LPs
     from scipy.optimize import linprog
 
     size = float(np.max(np.abs(x)))
@@ -133,7 +188,7 @@ def induced_norm(cert: NormCertificate, a: np.ndarray) -> float:
     if not cert.spans():
         raise DegenerateNormError("vertex set does not span the space")
     a = _realify(a)
-    return max(_gauge(cert.vertices, v @ a) for v in cert.vertices)
+    return float(np.max(_gauge(cert.vertices)(cert.vertices @ a)))
 
 
 def check_extremal_norm(family: MatrixFamily, cert: NormCertificate,
@@ -271,6 +326,7 @@ def certify_finiteness(family: MatrixFamily, word: Word,
 
     vertices = [v]
     queue = [v]
+    gauge = _gauge(v[None])
     max_gauge = 0.0
     while queue:
         if len(vertices) > vertex_budget:
@@ -280,13 +336,14 @@ def certify_finiteness(family: MatrixFamily, word: Word,
                        "the normalized semigroup may be unbounded")
         v0 = queue.pop(0)
         arr = np.array(vertices)
-        for k in range(family.size):
-            u = v0 @ mats[k]
-            g = _gauge(np.array(vertices), u)
+        images = v0 @ mats
+        gauges = gauge(images)
+        for k, u in enumerate(images):
+            g = float(gauges[k])
             if g <= 1.0 + MEMBERSHIP_TOL:
                 max_gauge = max(max_gauge, g)
                 continue
-            # near-duplicate of an existing vertex: LP noise, treat as inside
+            # near-duplicate of an existing vertex: rounding, treat as inside
             scale = np.linalg.norm(u)
             if scale > 0 and np.min(
                     np.minimum(np.linalg.norm(arr - u, axis=1),
@@ -294,6 +351,9 @@ def certify_finiteness(family: MatrixFamily, word: Word,
                 continue
             vertices.append(u)
             queue.append(u)
+            # the later images are judged against the grown hull
+            gauge = _gauge(np.array(vertices))
+            gauges[k + 1:] = gauge(images[k + 1:])
     # every right singular vector, without an m x m left factor
     _, sv, vh = np.linalg.svd(vertices, full_matrices=len(vertices) < family.dim)
     rank = int(np.sum(sv > 1e-12 * sv[0]))  # as in NormCertificate.spans
@@ -303,12 +363,12 @@ def certify_finiteness(family: MatrixFamily, word: Word,
         # that is still invariant if the generators map them into it
         extra = 1e-3 * vh[rank:]
         vertices = np.vstack([vertices, extra])
-        gauges = [_gauge(vertices, u @ m) for u in extra for m in mats]
-        if max(gauges) > 1.0 + MEMBERSHIP_TOL:
+        gauges = _gauge(vertices)((extra @ mats).reshape(-1, family.dim))
+        if np.max(gauges) > 1.0 + MEMBERSHIP_TOL:
             return FinitenessCertificate(
                 word, rho_cand, "inconclusive",
                 reason=f"polytope spans an invariant subspace of dim {rank}")
-        max_gauge = max([max_gauge] + gauges)
+        max_gauge = max(max_gauge, float(np.max(gauges)))
     cert = NormCertificate(
         dim=family.dim, kind="polytope", vertices=vertices,
         margin=max(0.0, 1.0 - max_gauge), status="verified")

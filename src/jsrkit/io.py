@@ -11,7 +11,8 @@ Entries are real numbers or [re, im] pairs.  Measures are JSON too:
 ``{"p": [...], "P": [[...]]}`` for Markov (p optional, computed from P when
 missing) and ``{"period": [1, 2]}`` for periodic sequences.
 
-Result records are written by ``to_json``, the one report encoder.
+Result records are written by ``to_json``, the one report encoder, and a
+norm certificate is read back by ``certificate_from_json``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .extremal import NormCertificate
 from .matrix_core import MatrixFamily
 from .symbolic import MarkovMeasure, PeriodicSequence
 
@@ -130,6 +132,25 @@ def to_json(value):
             a = np.stack([a.real, a.imag], axis=-1)
         return a.tolist()
     return value
+
+
+def certificate_from_json(doc: dict) -> NormCertificate:
+    """The ``NormCertificate`` that ``to_json`` wrote as ``doc``.
+
+    Its arrays are matrices, so one with a third axis holds ``to_json``'s
+    ``[re, im]`` pairs and is complex.
+    """
+    def array(name):
+        if doc.get(name) is None:
+            return None
+        a = np.asarray(doc[name], dtype=np.float64)
+        return a[..., 0] + 1j * a[..., 1] if a.ndim == 3 else a
+
+    return NormCertificate(dim=doc["dim"], kind=doc.get("kind", "polytope"),
+                           vertices=array("vertices"),
+                           transform=array("transform"),
+                           margin=doc.get("margin", 0.0),
+                           status=doc.get("status", "candidate"))
 
 
 def parse_markov(path: str | Path) -> MarkovMeasure:

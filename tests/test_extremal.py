@@ -1,18 +1,20 @@
+import itertools
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jsrkit
 from jsrkit import (MatrixFamily, NormCertificate, boundedness_probe,
                     certify_finiteness, check_extremal_norm,
                     euclidean_certificate, norm_value)
+from jsrkit import extremal
 from jsrkit.extremal import (ComplexFamilyError, DegenerateNormError,
-                             induced_norm)
+                             _gauge, _lp_gauge, induced_norm)
 
 from conftest import PHI
 
@@ -26,14 +28,20 @@ vectors_2 = st.lists(st.floats(-5, 5, allow_nan=False, allow_infinity=False),
 
 
 def test_import_leaves_the_lp_solver_out():
-    # only certification solves linear programs: scipy.optimize, most of
-    # the import time, loads on the first gauge
+    # scipy is most of the import time: polytope gauges load scipy.spatial
+    # (qhull) on first use, and only a gauge beyond FACET_MAX_DIM loads
+    # the LP solver in scipy.optimize
     src = os.path.dirname(os.path.dirname(jsrkit.__file__))
-    code = ("import sys, jsrkit; "
-            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'; "
-            "jsrkit.norm_value(jsrkit.NormCertificate(dim=1, kind='polytope', "
-            "vertices=[[1.0]]), [2.0]); "
-            "assert 'scipy.optimize' in sys.modules")
+    code = ("import sys, jsrkit, numpy as np; "
+            "loaded = lambda: {m for m in ('scipy.optimize', 'scipy.spatial') "
+            "if m in sys.modules}; "
+            "assert not loaded(), loaded(); "
+            "cross = lambda d: jsrkit.NormCertificate(dim=d, kind='polytope', "
+            "vertices=np.eye(d)); "
+            "jsrkit.norm_value(cross(6), np.ones(6)); "
+            "assert loaded() == {'scipy.spatial'}, loaded(); "
+            "jsrkit.norm_value(cross(7), np.ones(7)); "
+            "assert 'scipy.optimize' in loaded()")
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
@@ -70,6 +78,7 @@ class TestNormValue:
             NormCertificate(dim=2, kind="hexagon")
 
     @given(vectors_2, vectors_2)
+    @example(np.array([0.0, 0.25]), np.array([2.0, 1.19e-7]))
     @settings(max_examples=40, deadline=None)
     def test_triangle_inequality(self, x, y):
         lhs = norm_value(CROSS, x + y)
@@ -89,6 +98,122 @@ class TestNormValue:
         assert norm_value(SQUARE, 2 * x) == pytest.approx(2 * norm_value(SQUARE, x),
                                                           rel=1e-9)
         assert norm_value(SQUARE, 0 * x) == 0.0
+        assert _lp_gauge(SQUARE.vertices, x) == pytest.approx(5.96e-8, rel=1e-9)
+
+
+def _cube(d):
+    # the sign vectors with first entry +1: their balanced hull is [-1, 1]^d
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=d - 1)))
+    return np.hstack([np.ones((len(signs), 1)), signs])
+
+
+def _lp_gauges(vertices):
+    return lambda points: np.array([_lp_gauge(vertices, x) for x in points])
+
+
+# singular values from 1 down to about 1.5e-12, just inside the rank
+# tolerance: the qhull 2020.2 in scipy 1.17 stops on its hull with a
+# precision error (QH6347, wide merge)
+FLAT = np.column_stack([
+    [-1.0399, 0.4343, 0.8902, 0.1911, 0.1355, 0.7204, 0.2144, -0.9529,
+     0.8902, 0.006],
+    1e-12 * np.array([[-2.642, 0.529, 0.248], [2.265, 1.649, 1.139],
+                      [-2.394, -0.206, 0.175], [1.319, -2.287, 0.696],
+                      [2.078, -0.831, -1.394], [-1.903, 0.845, -1.773],
+                      [0.966, 1.911, -0.803], [0.007, 0.122, -1.662],
+                      [-2.382, -0.205, 0.189], [-1.113, -1.67, -0.363]])])
+
+
+class TestFacetGauge:
+    """The facet gauge against closed forms and against the LP, which stays
+    its independent oracle: check_extremal_norm uses the facet gauge too."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_cross_polytope_is_l1_and_cube_is_linf(self, d):
+        points = np.random.default_rng(d).standard_normal((40, d))
+        np.testing.assert_allclose(_gauge(np.eye(d))(points),
+                                   np.abs(points).sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(_gauge(_cube(d))(points),
+                                   np.abs(points).max(axis=1), rtol=1e-12)
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_random_sets_match_the_lp(self, d, seed):
+        rng = np.random.default_rng(seed)
+        vertices = rng.standard_normal((rng.integers(d, 3 * d + 1), d))
+        points = np.vstack([rng.standard_normal((4, d)), vertices[:2]])
+        np.testing.assert_allclose(_gauge(vertices)(points),
+                                   _lp_gauges(vertices)(points), rtol=1e-6)
+
+    @pytest.mark.parametrize("vertices, points, expected", [
+        # rank 2 in R^3: the hexagon with vertices ±e1, ±e2, ±(e1 + e2)
+        ([[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+         [[0.5, -0.25, 0], [1, 1, 0], [0, 0, 1e-6], [1, 1, 1e-5], [0, 0, 0]],
+         [0.75, 1.0, np.inf, np.inf, 0.0]),
+        # rank 1: a segment, gauge |y| / max |V q|
+        ([[1, 2, 0], [-2, -4, 0]],
+         [[0.5, 1, 0], [-3, -6, 0], [1, 0, 0], [1, 2, 1e-5]],
+         [0.25, 1.5, np.inf, np.inf]),
+    ])
+    def test_rank_deficient_sets(self, vertices, points, expected):
+        vertices, points = np.array(vertices, float), np.array(points, float)
+        np.testing.assert_allclose(_gauge(vertices)(points), expected,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(_lp_gauges(vertices)(points), expected,
+                                   rtol=1e-9)
+
+    def test_nearly_flat_set_answers(self):
+        # facets or LP, whichever qhull leaves, the gauge answers, and in
+        # the dominant direction it agrees with the LP
+        g = _gauge(FLAT)(np.eye(4))
+        assert g[0] == pytest.approx(_lp_gauge(FLAT, np.eye(4)[0]), rel=1e-6)
+        assert np.all(g >= 0)
+
+    def test_qhull_failure_falls_back_to_the_lp(self, monkeypatch):
+        import scipy.spatial
+
+        def fail(points):
+            raise scipy.spatial.QhullError("QH6347 qhull precision error")
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", fail)
+        points = np.random.default_rng(0).standard_normal((5, 2))
+        np.testing.assert_allclose(_gauge(SQUARE.vertices)(points),
+                                   np.abs(points).max(axis=1), rtol=1e-6)
+
+    def test_dimension_7_certificate_through_the_lp(self, monkeypatch):
+        # beyond FACET_MAX_DIM every gauge is an LP; S_1 fixes e1 and S_2
+        # halves and shifts, so the closure of e1 is 2^-i e_{i+1}, a
+        # weighted l1 ball that both map into itself
+        d = 7
+        lp_calls = []
+        monkeypatch.setattr(extremal, "_lp_gauge",
+                            lambda v, x: lp_calls.append(x) or _lp_gauge(v, x))
+        fam = MatrixFamily.from_matrices([np.diag([1.0] + [0.5] * (d - 1)),
+                                          0.5 * np.roll(np.eye(d), 1, axis=1)])
+        cert = certify_finiteness(fam, (1,))
+        assert cert.verdict == "certified"
+        assert cert.value == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(cert.certificate.vertices,
+                                      np.diag(0.5 ** np.arange(d)))
+        ok, gap, _ = check_extremal_norm(fam, cert.certificate, cert.value)
+        assert ok and gap == pytest.approx(0.0, abs=1e-7)
+        assert len(lp_calls) == 4 * d  # d x K images, closure and check
+
+    @pytest.mark.parametrize("mats, word", [
+        ([[[1, 1], [0, 1]], [[1, 0], [1, 1]]], (1, 2)),
+        ([np.diag([-2.0, 1.0]), [[0.5, 0.3], [0.2, -0.4]]], (1,)),
+        ([np.diag([0.5, 0.25])], (1,)),
+        ([np.diag([3.0, 1.0, 2.0]), [[1, 1, 0], [0, 1, 0], [1, 0, 1]]], (1,)),
+    ])
+    def test_closure_matches_the_lp_closure(self, monkeypatch, mats, word):
+        fam = MatrixFamily.from_matrices(mats)
+        facet = certify_finiteness(fam, word, vertex_budget=30)
+        monkeypatch.setattr(extremal, "_gauge", _lp_gauges)
+        lp = certify_finiteness(fam, word, vertex_budget=30)
+        assert (facet.verdict, facet.reason) == (lp.verdict, lp.reason)
+        if facet.certificate is not None:
+            np.testing.assert_array_equal(facet.certificate.vertices,
+                                          lp.certificate.vertices)
 
 
 class TestInducedNorm:

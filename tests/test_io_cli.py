@@ -7,7 +7,7 @@ import pytest
 
 from jsrkit import (MatrixFamily, PeriodicMeasure, PeriodicSequence,
                     block_triangularize, boundedness_probe, bounds_bracket,
-                    certify_finiteness, cli, corollary_reports,
+                    certify_finiteness, check_extremal_norm, cli, corollary_reports,
                     dominant_blocks, euclidean_certificate,
                     extremality_verdict, io, lyapunov_periodic,
                     measure_to_finiteness)
@@ -253,6 +253,32 @@ class TestCliNormCheck:
         code = cli.main(["norm-check", data_path("shear.json"),
                          "--certificate", str(cert)])
         assert code == 0
+
+    def _read_back(self, tmp_path, cert, family):
+        """norm-check's results on the certificate as to_json wrote it."""
+        path, report = tmp_path / "cert.json", tmp_path / "run.json"
+        path.write_text(json.dumps(io.to_json(cert)))
+        code = cli.main(["norm-check", data_path(family), "--certificate",
+                         str(path), "--out", str(report)])
+        assert code == 0
+        back = io.certificate_from_json(json.loads(path.read_text()))
+        assert io.to_json(back) == io.to_json(cert)
+        return json.loads(report.read_text())["results"]
+
+    def test_complex_transform_certificate_reads_back(self, tmp_path,
+                                                      golden_pair):
+        cert = euclidean_certificate(2, [[1, 1j], [0, 1]])
+        results = self._read_back(tmp_path, cert, "golden_pair.json")
+        lower = results["bracket"]["lower"]
+        _, gap, attained = check_extremal_norm(golden_pair, cert, lower)
+        assert results["attained"] == pytest.approx(attained, rel=1e-12)
+        assert results["gap"] == pytest.approx(gap, abs=1e-12)
+
+    def test_polytope_certificate_reads_back(self, tmp_path, golden_pair):
+        cert = certify_finiteness(golden_pair, (1, 2)).certificate
+        results = self._read_back(tmp_path, cert, "golden_pair.json")
+        assert results["extremal"] is True
+        assert results["attained"] == pytest.approx(PHI, rel=1e-12)
 
 
 class TestCliErgodic:
