@@ -10,8 +10,8 @@ from .ergodic import (CorollaryReport, ExtremalityVerdict, LyapunovEstimate,
                       lyapunov_exact_finite, lyapunov_monte_carlo,
                       lyapunov_periodic, measure_to_finiteness)
 from .extremal import (FinitenessCertificate, NormCertificate,
-                       boundedness_probe, certify_finiteness,
-                       check_extremal_norm, euclidean_certificate, norm_value)
+                       certify_finiteness, check_extremal_norm,
+                       euclidean_certificate, norm_value)
 from .matrix_core import (MatrixFamily, Word, averaged_norm_value,
                           averaged_spectral_value, operator_norm,
                           spectral_radius, word_product)

@@ -15,16 +15,17 @@ and the candidate ranking carry p beside their letter arrays.
 
 ``scan_words`` keeps every word.  It carries a level of length n as the
 base-K indices c = 0..K^n-1 (canonical words come from
-``canonical_index``, cached per (K, n))
-and wants only per-level maxima, so batched SVD and ``eigvals`` run on an
-exact screen: rho(P) <= ||P||_2 <= ||P||_F, so a word whose Frobenius
-norm lies below the floor, the largest value (2-norm or spectral radius)
-among the 4 words with the largest Frobenius norms, cannot hold the
-maximum.  The 1e-10 margin covers rounding, and the argmax over the
-survivors in lexicographic order is the first maximizer an unscreened
-scan would pick.  Real families (every imaginary part exactly 0) run in
-float64, in the scan and the path kernel alike.  Letters are 0-based
-here; the scan's record gives 1-based words, as the public API does.
+``canonical_index``, cached per (K, n)) and keeps per level only the
+largest 2-norm and the first canonical word of largest spectral radius,
+so batched SVD and ``eigvals`` run on an exact screen: rho(P) <= ||P||_2
+<= ||P||_F, so a word whose Frobenius norm lies below the floor, the
+largest value (2-norm or spectral radius) among the 4 words with the
+largest Frobenius norms, cannot hold the maximum.  The 1e-10 margin
+covers rounding, and the first spectral maximizer among the survivors in
+lexicographic order is the one an unscreened scan would pick.  Real
+families (every imaginary part exactly 0) run in float64, in the scan
+and the path kernel alike.  Letters are 0-based here; the scan's record
+gives 1-based words, as the public API does.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from .config import RENORM_EVERY
 USE_NUMBA = False
 
 _SCREEN_MARGIN = 1.0 - 1e-10
-# log norms within this of each other tie (a relative 1e-12 in the norm)
-_LOG_TIE = 1e-12
 # below this the squares summed into ||P||_F may underflow, so the screen
 # is skipped (and every word is checked) rather than trusted
 _SCREEN_FLOOR = 1e-140
@@ -185,14 +184,13 @@ def level_witness(prods, fro, candidates, n):
 
 @dataclass(frozen=True)
 class WordScan:
-    """What ``scan_words`` found, with 1-based words as in the public API."""
+    """What ``scan_words`` found: per-level maxima and the spectral
+    witness, the only word it keeps (1-based, as in the public API)."""
 
     max_rho: np.ndarray   # per depth n: max over |w| = n of rho(P(w))^(1/n)
     max_norm: np.ndarray  # per depth n: max over |w| = n of ||P(w)||^(1/n)
     best_val: float       # the spectral witness's value, -1 before level 1
     best_word: tuple[int, ...]
-    norm_log: float       # log of the largest product norm (may be -inf)
-    norm_word: tuple[int, ...]
     nodes: int
     levels: int           # lengths 1..levels were scanned
     complete: bool
@@ -203,17 +201,15 @@ def scan_words(mats, depth, node_budget) -> WordScan:
 
     Finds per-depth maxima of averaged norm and averaged spectral value
     (the latter over canonical words, since rho is invariant under
-    rotation), the best (value, word) for the spectral lower bound with
-    shorter-then-lexicographic tie-breaking, and the log norm and word of
-    the largest product norm.  A level is scanned only when it fits in the
-    remaining node budget.
+    rotation) and the best (value, word) for the spectral lower bound with
+    shorter-then-lexicographic tie-breaking.  A level is scanned only when
+    it fits in the remaining node budget.
     """
     K, d, _ = mats.shape
     mats = real_if_exact(mats)
     max_rho = np.zeros(depth)
     max_norm = np.zeros(depth)
     best_val, best_word = -1.0, ()
-    norm_log, norm_word = -np.inf, ()
     nodes = 0
     completed = True
     prods = np.eye(d, dtype=mats.dtype)[None]
@@ -225,25 +221,17 @@ def scan_words(mats, depth, node_budget) -> WordScan:
         prods = children(prods, mats)
         nodes += m
         fro = frobenius(prods)
-
-        kept, norms = _screened(two_norms, prods, fro, np.arange(m))
+        _, norms = _screened(two_norms, prods, fro, np.arange(m))
         top = float(norms.max())
         max_norm[n - 1] = top ** (1.0 / n) if top > 0.0 else 0.0
-        with np.errstate(divide="ignore"):
-            lognorms = np.where(norms > 0.0, np.log(norms), -np.inf)
-        i = first_near_max(lognorms, _LOG_TIE)
-        if lognorms[i] > norm_log + _LOG_TIE:
-            norm_log = float(lognorms[i])
-            norm_word = _word(int(kept[i]), K, n)
-
         j, val, max_rho[n - 1] = level_witness(prods, fro,
                                                canonical_index(K, n), n)
         if val > best_val + 1e-12 * max(best_val, 1.0):
             best_val = val
             best_word = _word(j, K, n)
     levels = depth if completed else n - 1
-    return WordScan(max_rho, max_norm, best_val, best_word, norm_log,
-                    norm_word, nodes, levels, completed)
+    return WordScan(max_rho, max_norm, best_val, best_word, nodes, levels,
+                    completed)
 
 
 def path_log_norms(mats, paths):

@@ -60,7 +60,7 @@ def _scan(family: MatrixFamily, depth: int,
     scale = family.scale
     if scale == 0.0:
         return _kernels.WordScan(np.zeros(depth), np.zeros(depth), 0.0, (1,),
-                                 -np.inf, (), family.size, depth, True)
+                                 family.size, depth, True)
     mats = np.ascontiguousarray(family.mats / scale)
     res = _kernels.scan_words(mats, depth, node_budget)
     return replace(res, max_rho=res.max_rho * scale,
@@ -107,8 +107,7 @@ def bounds_bracket(family: MatrixFamily, depth: int,
     the levels scanned.
     """
     res = _scan(family, depth, node_budget)
-    upper = (float(np.min(res.max_norm[:res.levels])) if res.levels
-             else family.scale)
+    upper = float(np.min(res.max_norm[:res.levels], initial=family.scale))
     return BoundsBracket(res.best_val, upper, res.best_word, res.levels,
                          res.nodes, res.complete)
 

@@ -18,6 +18,5 @@ RANK_TOL = 1e-10             # relative rank tolerance in algebra closure
 INVARIANCE_TOL = 1e-8        # scale-relative subspace invariance residual
 MEMBERSHIP_TOL = 1e-10       # polytope gauge membership
 VERTEX_BUDGET = 10**4        # certification vertex cap
-GROWTH_THRESHOLD = 1e6       # boundedness probe escape level
 EXTREMALITY_TOL = 1e-6       # verdict tolerance for exact Lyapunov methods
 RENORM_EVERY = 32            # steps between running-product rescales

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .config import GROWTH_THRESHOLD, MEMBERSHIP_TOL, VERTEX_BUDGET
+from .config import MEMBERSHIP_TOL, VERTEX_BUDGET
 from .matrix_core import (MatrixFamily, Word, averaged_spectral_value,
                           operator_norm)
 
@@ -198,53 +198,21 @@ def check_extremal_norm(family: MatrixFamily, cert: NormCertificate,
 
     Returns (verdict, gap, attained) with gap = attained - rho_estimate.
     The attained value is always a true upper bound on the JSR, whatever
-    the verdict.
+    the verdict.  A polytope's gauge is built once, for all m x K vertex
+    images.
     """
     if cert.dim != family.dim:
         raise ValueError("certificate dimension does not match the family")
-    attained = max(induced_norm(cert, family.mats[k]) for k in range(family.size))
+    if cert.kind == "euclidean":
+        attained = max(induced_norm(cert, a) for a in family.mats)
+    elif not cert.spans():
+        raise DegenerateNormError("vertex set does not span the space")
+    else:
+        images = (cert.vertices @ _realify(family.mats)).reshape(-1, cert.dim)
+        attained = float(np.max(_gauge(cert.vertices)(images)))
     gap = attained - rho_estimate
     ok = abs(gap) <= rel_tol * max(1.0, abs(rho_estimate))
     return ok, gap, attained
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    verdict: str  # "bounded-likely", "unbounded", "inconclusive"
-    max_log_norm: float
-    depths_scanned: int
-    witness_word: Word | None = None
-
-
-def boundedness_probe(family: MatrixFamily, depth: int,
-                      growth_threshold: float = GROWTH_THRESHOLD,
-                      node_budget: int = 10**5) -> ProbeResult:
-    """Heuristic boundedness verdict for a normalized semigroup.
-
-    "unbounded" is sound relative to the threshold semantics: some finite
-    product's norm exceeded growth_threshold, and the witnessing word is
-    reported.  "bounded-likely" means the running maximum product norm did
-    not increase over the last quarter of the scanned depths.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    log_thresh = float(np.log(growth_threshold))
-    scan = _kernels.scan_words(np.ascontiguousarray(family.mats), depth,
-                               node_budget)
-    n_eff = scan.levels
-    if n_eff < 1:
-        raise ValueError("node budget too small for even depth 1")
-    with np.errstate(divide="ignore"):
-        lognorms = np.arange(1, n_eff + 1) * np.log(scan.max_norm[:n_eff])
-    max_log = scan.norm_log
-    running = np.maximum.accumulate(lognorms)
-    if max_log > log_thresh:
-        return ProbeResult("unbounded", max_log, n_eff, scan.norm_word)
-    if n_eff >= 4:
-        q = (3 * n_eff) // 4
-        if running[-1] <= running[q - 1] + 1e-9:
-            return ProbeResult("bounded-likely", max_log, n_eff, None)
-    return ProbeResult("inconclusive", max_log, n_eff, None)
 
 
 @dataclass(frozen=True)

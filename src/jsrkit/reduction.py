@@ -13,14 +13,14 @@ transpose the family for the column convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _kernels, extremal
 from .bounds import BoundsBracket, bounds_bracket
-from .config import DEFAULT_NODE_BUDGET, INVARIANCE_TOL, RANK_TOL
-from .matrix_core import MatrixFamily
+from .config import DEFAULT_NODE_BUDGET, INVARIANCE_TOL, RANK_TOL, VERTEX_BUDGET
+from .matrix_core import MatrixFamily, Word
 
 
 class ToleranceConflictError(RuntimeError):
@@ -278,9 +278,10 @@ def dominant_blocks(result: ReductionResult, depth: int,
 
 @dataclass(frozen=True)
 class ExtremalSubspace:
-    """An invariant subspace E carrying an extremal norm: the restriction
-    of the family to E has the same joint spectral radius, attained as the
-    max induced norm of the restricted generators."""
+    """An invariant subspace E carrying an extremal norm: status "ok" comes
+    only with a verified certificate, a norm under which the largest
+    induced norm of the restricted generators is ``rho_estimate``, a lower
+    bound on their joint spectral radius, so the two are equal."""
 
     status: str  # "ok", "zero", or "undetermined"
     rho_estimate: float
@@ -294,17 +295,61 @@ class ExtremalSubspace:
         return 0 if self.basis is None else self.basis.shape[0]
 
 
+# values within this relative distance of the estimate equal it: the
+# bracket's own tie rule
+_RHO_TIE = 1e-12
+
+
+def _real_rows(basis: np.ndarray) -> np.ndarray:
+    """A real orthonormal row basis of span(basis) when that span is its
+    own conjugate, as a real family's invariant subspaces often are, so
+    that the restriction of a real family stays real; else the basis as
+    given.  The real and imaginary parts of the rows lie in such a span,
+    and their rank tells."""
+    m = basis.shape[0]
+    _, sv, vh = np.linalg.svd(np.vstack([basis.real, basis.imag]))
+    if sv.size > m and sv[m] > RANK_TOL * sv[0]:
+        return basis
+    return vh[:m]
+
+
+def _certificate(family: MatrixFamily, rho: float, word: Word,
+                 vertex_budget: int) -> "extremal.NormCertificate | None":
+    """A verified norm whose largest induced generator norm is rho, or
+    None: the Euclidean norm if it attains rho (the one rung for complex
+    families), else for a real family the polytope that
+    ``certify_finiteness`` closes around the word, if the word's value is
+    rho.  Both equalities are to ``_RHO_TIE`` relative."""
+    cert = extremal.euclidean_certificate(family.dim)
+    ok, gap, _ = extremal.check_extremal_norm(family, cert, rho, _RHO_TIE)
+    if ok:
+        return replace(cert, margin=max(0.0, -gap), status="verified")
+    if not family.is_real:
+        return None
+    fin = extremal.certify_finiteness(family, word, vertex_budget)
+    if (fin.verdict == "certified"
+            and abs(fin.value - rho) <= _RHO_TIE * max(1.0, rho)):
+        return fin.certificate
+    return None
+
+
 def extremal_subspace(family: MatrixFamily, depth: int,
-                      probe_depth: int = 48,
+                      vertex_budget: int = VERTEX_BUDGET,
                       node_budget: int = DEFAULT_NODE_BUDGET,
                       seed: int = 0) -> ExtremalSubspace:
     """Invariant subspace on which the joint spectral radius is attained
     by a norm, following the constructive restriction argument.
 
-    Normalizes the family by the bracket lower bound; if the normalized
-    semigroup looks bounded the whole space works, otherwise the search
-    descends into the block triangularization and pulls the subspace back
-    through the (unitary) transform.
+    The estimate is the depth-``depth`` bracket's lower bound, attained by
+    its best word.  The whole space is tried first (``_certificate``);
+    otherwise the search descends into the block triangularization and
+    takes the first block j, in order, whose bracket's lower bound is the
+    estimate (a block below it cannot prove equality) and whose
+    restriction to blocks 1..j carries a certificate, with the block
+    bracket's best word for the polytope.  E is spanned by rows of the
+    (unitary) transform, in a real basis when it has one.  Without a
+    verified certificate the answer is "undetermined", never a guess.
+    ``vertex_budget`` caps each polytope closure.
     """
     bracket = bounds_bracket(family, depth, node_budget)
     if bracket.upper <= 1e-300:
@@ -315,47 +360,32 @@ def extremal_subspace(family: MatrixFamily, depth: int,
             "undetermined", 0.0,
             diagnostics="lower bound is zero but upper is not; "
                         "no usable spectral radius estimate at this depth")
-    normalized = family.scaled(1.0 / rho_est)
-    probe = extremal.boundedness_probe(normalized, probe_depth)
-    if probe.verdict == "bounded-likely":
-        cert = extremal.euclidean_certificate(family.dim)
-        ok, gap, attained = extremal.check_extremal_norm(family, cert, rho_est)
-        cert = extremal.NormCertificate(
-            dim=family.dim, kind="euclidean", transform=None,
-            margin=max(0.0, -gap), status="verified" if ok else "candidate")
+    cert = _certificate(family, rho_est, bracket.best_word, vertex_budget)
+    if cert is not None:
         return ExtremalSubspace(
             "ok", rho_est, basis=np.eye(family.dim, dtype=np.complex128),
             restricted_family=family, certificate=cert,
-            diagnostics=f"full space; attained norm {attained:.12g}")
+            diagnostics=f"full space; verified {cert.kind} norm")
     reduction = block_triangularize(family, seed=seed)
     if reduction.block_count == 1:
         return ExtremalSubspace(
             "undetermined", rho_est,
-            diagnostics="irreducible family with non-stabilized normalized "
-                        "semigroup; the spectral radius estimate is likely not tight")
+            diagnostics="irreducible family and no norm verified at the "
+                        "estimate; it may not be tight")
     report = dominant_blocks(reduction, depth, node_budget)
-    transformed = reduction.transformed()
     starts = np.cumsum((0,) + reduction.block_sizes)
-    order = sorted(report.dominant, key=lambda j: reduction.block_sizes[j - 1])
-    for j in order:
-        block = reduction.blocks[j - 1]
-        block_probe = extremal.boundedness_probe(
-            block.scaled(1.0 / rho_est), probe_depth)
-        if block_probe.verdict != "bounded-likely":
-            continue
+    for j in report.certain:
         m = int(starts[j])
-        restricted = MatrixFamily(np.ascontiguousarray(transformed[:, :m, :m]))
-        basis = reduction.transform.conj().T[:m]
-        cert = extremal.euclidean_certificate(m)
-        ok, gap, attained = extremal.check_extremal_norm(restricted, cert, rho_est)
-        cert = extremal.NormCertificate(
-            dim=m, kind="euclidean", transform=None,
-            margin=max(0.0, -gap), status="verified" if ok else "candidate")
-        return ExtremalSubspace(
-            "ok", rho_est, basis=basis, restricted_family=restricted,
-            certificate=cert,
-            diagnostics=f"blocks 1..{j} (dim {m}); attained norm {attained:.12g}")
+        basis = _real_rows(reduction.transform.conj().T[:m])
+        restricted = MatrixFamily(basis @ family.mats @ basis.conj().T)
+        cert = _certificate(restricted, rho_est,
+                            report.block_brackets[j - 1].best_word, vertex_budget)
+        if cert is not None:
+            return ExtremalSubspace(
+                "ok", rho_est, basis=basis, restricted_family=restricted,
+                certificate=cert,
+                diagnostics=f"blocks 1..{j} (dim {m}); verified {cert.kind} norm")
     return ExtremalSubspace(
         "undetermined", rho_est,
-        diagnostics="no dominant block with a bounded normalized semigroup "
-                    "within the probe budget; the estimate may not be tight")
+        diagnostics="no norm verified at the estimate on the full space or "
+                    "on a restriction to a dominant block; it may not be tight")

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jsrkit import (MatrixFamily, averaged_norm_value, averaged_spectral_value,
                     berger_wang_report, bounds_bracket, lower_bound,
@@ -26,6 +29,13 @@ def brute_upper(family, depth):
                        for w in itertools.product(
                            range(1, family.size + 1), repeat=n)))
     return min(out)
+
+
+@st.composite
+def real_families(draw):
+    """(K, d, d) stacks with K in 1..3 and d in 1..4."""
+    shape = (draw(st.integers(1, 3)),) + (draw(st.integers(1, 4)),) * 2
+    return draw(arrays(np.float64, shape, elements=st.floats(-4, 4)))
 
 
 class TestAgainstBruteForce:
@@ -79,6 +89,17 @@ class TestBracketProperties:
         b = bounds_bracket(fam, 3)
         assert b.lower == pytest.approx(2.0, abs=1e-12)
         assert b.upper == pytest.approx(2.0, abs=1e-12)
+
+    @given(real_families(), st.integers(1, 3))
+    # the level-1 maximum, taken on the family over its scale and scaled
+    # back, rounds one ulp above the scale here
+    @example(np.array([[[0.8677213780652736, 0.05283808503854799],
+                        [-1.0159735470221951, -1.3970518935029943]]]), 1)
+    @settings(max_examples=60, deadline=None)
+    def test_upper_at_most_scale(self, mats, depth):
+        # max_k ||S_k|| is the level-1 upper bound, exactly
+        fam = MatrixFamily(mats)
+        assert bounds_bracket(fam, depth).upper <= fam.scale
 
     def test_zero_family(self):
         b = bounds_bracket(MatrixFamily(np.zeros((2, 2, 2))), 4)

@@ -9,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jsrkit
-from jsrkit import (MatrixFamily, NormCertificate, boundedness_probe,
-                    certify_finiteness, check_extremal_norm,
-                    euclidean_certificate, norm_value)
+from jsrkit import (MatrixFamily, NormCertificate, certify_finiteness,
+                    check_extremal_norm, euclidean_certificate, norm_value)
 from jsrkit import extremal
 from jsrkit.extremal import (ComplexFamilyError, DegenerateNormError,
                              _gauge, _lp_gauge, induced_norm)
@@ -253,32 +252,6 @@ class TestCheckExtremalNorm:
     def test_dimension_mismatch(self, shear):
         with pytest.raises(ValueError):
             check_extremal_norm(shear, euclidean_certificate(3), 1.0)
-
-
-class TestBoundednessProbe:
-    def test_contraction_bounded(self):
-        fam = MatrixFamily.from_matrices([np.diag([0.5, 0.25]), np.diag([0.3, 0.1])])
-        assert boundedness_probe(fam, 12).verdict == "bounded-likely"
-
-    def test_rotation_bounded(self, rotation):
-        assert boundedness_probe(rotation, 32).verdict == "bounded-likely"
-
-    def test_expansion_unbounded_with_witness(self):
-        fam = MatrixFamily.from_matrices([2.0 * np.eye(2)])
-        res = boundedness_probe(fam, 40, growth_threshold=100.0)
-        assert res.verdict == "unbounded"
-        assert res.witness_word is not None
-        # the witness really does exceed the threshold
-        n = len(res.witness_word)
-        assert 2.0 ** n > 100.0
-
-    def test_shear_unbounded(self, shear):
-        res = boundedness_probe(shear, 64, growth_threshold=10.0)
-        assert res.verdict == "unbounded"
-
-    def test_normalized_golden_pair_bounded(self, golden_pair):
-        assert boundedness_probe(golden_pair.scaled(1 / PHI), 16).verdict \
-            == "bounded-likely"
 
 
 class TestCertifyFiniteness:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from jsrkit import (MatrixFamily, PeriodicMeasure, PeriodicSequence,
-                    block_triangularize, boundedness_probe, bounds_bracket,
-                    certify_finiteness, check_extremal_norm, cli, corollary_reports,
-                    dominant_blocks, euclidean_certificate,
+                    block_triangularize, bounds_bracket, certify_finiteness,
+                    check_extremal_norm, cli, corollary_reports,
+                    dominant_blocks, euclidean_certificate, extremal_subspace,
                     extremality_verdict, io, lyapunov_periodic,
                     measure_to_finiteness)
 
@@ -128,7 +128,6 @@ _UNIFORM = io.parse_markov(data_path("uniform_markov.json"))
 RECORDS = {
     "BoundsBracket": lambda fam: bounds_bracket(fam, 6),
     "NormCertificate": lambda fam: certify_finiteness(fam, (1, 2)).certificate,
-    "ProbeResult": lambda fam: boundedness_probe(fam.scaled(2.0), 30),
     "FinitenessCertificate": lambda fam: certify_finiteness(fam, (1, 2)),
     "LyapunovEstimate": lambda fam: lyapunov_periodic(fam, _XI),
     "ExtremalityVerdict": lambda fam: extremality_verdict(
@@ -140,6 +139,7 @@ RECORDS = {
     "CorollaryReport": lambda fam: corollary_reports(fam, _UNIFORM, 6),
     "ReductionResult": lambda fam: block_triangularize(fam),
     "DominanceReport": lambda fam: dominant_blocks(block_triangularize(fam), 6),
+    "ExtremalSubspace": lambda fam: extremal_subspace(fam, 6),
 }
 
 

@@ -53,7 +53,7 @@ def brute_scan(mats, depth, budget=10**6, dedup=True):
     k = fam.size
     max_rho = np.zeros(depth)
     max_norm = np.zeros(depth)
-    rhos, lognorms = [], []  # (value, word), shortest then lexicographic
+    rhos = []  # (value, word), shortest then lexicographic
     nodes, complete = 0, True
     for n in range(1, depth + 1):
         words = list(itertools.product(range(1, k + 1), repeat=n))
@@ -65,15 +65,13 @@ def brute_scan(mats, depth, budget=10**6, dedup=True):
             p = word_product(fam, w)
             nrm = operator_norm(p)
             max_norm[n - 1] = max(max_norm[n - 1], nrm ** (1.0 / n))
-            lognorms.append((math.log(nrm) if nrm > 0.0 else -math.inf, w))
             if dedup and not is_canonical(w):
                 continue
             av = spectral_radius(p) ** (1.0 / n)
             max_rho[n - 1] = max(max_rho[n - 1], av)
             rhos.append((av, w))
     best_val, best_word = _first_near_max(rhos, 1e-12 * max(max_rho.max(), 1.0))
-    bn_val, bn_word = _first_near_max(lognorms, 1e-12)
-    return max_rho, max_norm, best_val, best_word, bn_val, bn_word, nodes, complete
+    return max_rho, max_norm, best_val, best_word, nodes, complete
 
 
 def assert_matches_brute(mats, depth, budget=10**6, oracle_dedup=True):
@@ -83,7 +81,7 @@ def assert_matches_brute(mats, depth, budget=10**6, oracle_dedup=True):
     first."""
     mats = np.ascontiguousarray(np.asarray(mats, dtype=np.complex128))
     res = _kernels.scan_words(mats, depth, budget)
-    (o_rho, o_norm, o_best_val, o_best_word, o_bn_val, o_bn_word,
+    (o_rho, o_norm, o_best_val, o_best_word,
      o_nodes, o_complete) = brute_scan(mats, depth, budget, oracle_dedup)
     assert res.nodes == o_nodes
     assert res.complete == o_complete
@@ -91,8 +89,6 @@ def assert_matches_brute(mats, depth, budget=10**6, oracle_dedup=True):
     np.testing.assert_allclose(res.max_norm, o_norm, rtol=REL, atol=0.0)
     assert res.best_word == o_best_word
     assert res.best_val == pytest.approx(o_best_val, rel=REL, abs=0.0)
-    assert res.norm_word == o_bn_word
-    assert res.norm_log == pytest.approx(o_bn_val, rel=REL, abs=REL)
 
 
 def complex_family(seed, k, d=3):
@@ -155,8 +151,7 @@ class TestScreenWorstCases:
     def test_equal_norms_nothing_screened(self, seed, cplx):
         # scaled orthogonal/unitary letters: every word of a level has the
         # same norm and spectral radius, so the whole level survives the
-        # screen and ties go to the first word (on these seeds rounding
-        # puts a later letter's norm a few ulps ahead)
+        # screen and ties go to the first word
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((3, 3, 3))
         if cplx:
@@ -165,7 +160,7 @@ class TestScreenWorstCases:
         assert_matches_brute(mats, 5)
         res = _kernels.scan_words(np.ascontiguousarray(mats, np.complex128),
                                   5, 10**6)
-        assert res.best_word == (1,) and res.norm_word == (1,)
+        assert res.best_word == (1,)
 
     def test_nilpotent_products_reach_zero(self):
         # strictly upper triangular: every product of length >= 3 is 0
@@ -438,4 +433,4 @@ class TestPathEquivalence:
     def test_zero_matrix_neg_inf(self):
         mat = np.zeros((1, 2, 2), dtype=np.complex128)
         res = _kernels.scan_words(mat, 5, 10**6)
-        assert np.all(res.max_norm == 0.0) and res.norm_log == -np.inf
+        assert np.all(res.max_norm == 0.0)

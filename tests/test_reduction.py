@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from jsrkit import (MatrixFamily, algebra_dimension, block_triangularize,
-                    bounds_bracket, dominant_blocks, extremal_subspace,
-                    find_invariant_subspace, is_irreducible)
+                    bounds_bracket, check_extremal_norm, dominant_blocks,
+                    extremal_subspace, find_invariant_subspace, is_irreducible)
 from jsrkit import reduction
 from jsrkit.config import INVARIANCE_TOL, RANK_TOL
 from jsrkit.reduction import (ToleranceConflictError, _invariance_residual,
@@ -343,29 +343,62 @@ class TestDominantBlocks:
         assert abs(best.lower - fam_b.lower) <= slack + 1e-9
 
 
+def assert_certified(res):
+    """An "ok" comes with a verified norm that attains the estimate on E."""
+    assert res.status == "ok"
+    assert res.certificate.status == "verified"
+    assert res.certificate.dim == res.dim == res.restricted_family.dim
+    ok, _, _ = check_extremal_norm(res.restricted_family, res.certificate,
+                                   res.rho_estimate)
+    assert ok
+
+
+# draws 219, 244 and 287 of 400 Gaussian pairs (rng = default_rng(0); each
+# draw d = rng.integers(2, 4), then rng.standard_normal((2, d, d))): no
+# norm verifies at the depth-8 estimate, and a longer word beats it
+FALSE_OK_DRAWS = {
+    219: [[[1.6748602277743765, 1.425013505932209, -0.626561806397675],
+           [-0.07721766254887426, 0.04998884670470353, 1.1031849161072949],
+           [-0.48797635649312726, 0.5917901516494696, 0.2737782144923443]],
+          [[0.3006312921505879, 1.0540165718697039, 0.14665875736033007],
+           [-1.2813218705118012, 0.902404681351209, -0.4870478663062789],
+           [0.8978117352621887, 0.26474916059722137, -0.9780268280270532]]],
+    244: [[[0.5175447956383256, 0.26141252516203256, -0.2753310614637201],
+           [1.0696281386735234, 1.3427902285178765, -1.3606872918929576],
+           [1.8584614604674685, 0.05174122041413462, -0.17073095626927703]],
+          [[0.9264294977175774, -0.7672009029446151, 0.4681774642987094],
+           [-0.32746724421918144, -0.034936354045610386, 0.38742218372924875],
+           [0.021143186922731386, -0.3281953579409903, 1.2051804232145304]]],
+    287: [[[-0.032361842037741125, -1.1601921179626042, 0.6896240335278586],
+           [-0.7067085623317264, -0.5703150183735061, 1.14616672789585],
+           [-1.0132282811592563, -0.20252555633844876, -0.010103822600866907]],
+          [[0.38518724167618096, 1.5378444110734248, -0.018340150271273437],
+           [0.5221234980226651, -0.0923057128105607, -1.674066531870293],
+           [1.1123383800780098, 0.7324283906401677, 1.2013507593065542]]],
+}
+
+
 class TestExtremalSubspace:
     def test_shear_restricts_to_line(self, shear):
         res = extremal_subspace(shear, depth=8)
-        assert res.status == "ok"
         assert res.dim == 1
         # [PAPER] restriction of the shear to its invariant line is [1]
         assert np.allclose(res.restricted_family.mats, [[[1.0]]])
         assert res.rho_estimate == pytest.approx(1.0, abs=1e-9)
-        assert res.certificate.status == "verified"
+        assert_certified(res)
 
     def test_rotation_full_space(self, rotation):
         res = extremal_subspace(rotation, depth=8)
-        assert res.status == "ok"
         assert res.dim == 2
-        assert res.certificate.status == "verified"
+        assert_certified(res)
 
     def test_golden_pair_full_space(self, golden_pair):
         # irreducible families always carry an extremal norm on the full
-        # space; here the normalized semigroup is bounded and detected
+        # space; here the Euclidean norm is one
         res = extremal_subspace(golden_pair, depth=10)
-        assert res.status == "ok"
         assert res.dim == 2
         assert res.rho_estimate == pytest.approx(PHI, abs=1e-9)
+        assert_certified(res)
 
     def test_zero_family(self):
         res = extremal_subspace(MatrixFamily(np.zeros((1, 2, 2))), depth=4)
@@ -379,8 +412,43 @@ class TestExtremalSubspace:
         fam = MatrixFamily.from_matrices(
             [[[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.5]]])
         res = extremal_subspace(fam, depth=8)
-        assert res.status == "ok"
         assert 1 <= res.dim < 3
         assert res.rho_estimate == pytest.approx(1.0, abs=1e-9)
+        assert_certified(res)
         b = bounds_bracket(res.restricted_family, 6)
         assert b.lower == pytest.approx(res.rho_estimate, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_real_block_gets_polytope(self, seed):
+        # a golden pair in skewed coordinates (its Euclidean norm exceeds
+        # phi) over a conformal block at 0.9 phi, behind a real rotation:
+        # the real invariant plane keeps the restriction real, so the
+        # polytope of the word (1, 2) certifies it
+        skew = np.array([[1.0, 2.0], [0.0, 1.0]])
+        golden = np.array([[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
+        c, s = np.cos(0.3), np.sin(0.3)
+        rng = np.random.default_rng(seed)
+        mats = np.zeros((2, 4, 4))
+        mats[:, :2, :2] = np.linalg.inv(skew) @ golden @ skew
+        mats[:, 2:, :2] = rng.standard_normal((2, 2, 2))
+        mats[:, 2:, 2:] = 0.9 * PHI * np.array([[[c, -s], [s, c]],
+                                                [[0.0, 1.0], [1.0, 0.0]]])
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        res = extremal_subspace(MatrixFamily(q.T @ mats @ q), depth=8,
+                                vertex_budget=30)
+        assert res.dim == 2
+        assert res.restricted_family.is_real
+        assert res.certificate.kind == "polytope"
+        assert res.rho_estimate == pytest.approx(PHI, rel=1e-12)
+        assert_certified(res)
+
+    @pytest.mark.parametrize("draw", sorted(FALSE_OK_DRAWS))
+    def test_no_ok_without_a_verified_norm(self, draw):
+        fam = MatrixFamily.from_matrices(FALSE_OK_DRAWS[draw])
+        res = extremal_subspace(fam, depth=8, vertex_budget=30)
+        assert res.status == "undetermined"
+        assert res.certificate is None
+        # an "ok" would have been false: a word of length 10 to 12 beats
+        # the estimate by more than 0.15%
+        deeper = bounds_bracket(fam, 12)
+        assert deeper.lower > 1.0015 * res.rho_estimate
