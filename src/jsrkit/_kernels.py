@@ -17,15 +17,20 @@ and the candidate ranking carry p beside their letter arrays.
 base-K indices c = 0..K^n-1 (canonical words come from
 ``canonical_index``, cached per (K, n)) and keeps per level only the
 largest 2-norm and the first canonical word of largest spectral radius,
-so batched SVD and ``eigvals`` run on an exact screen: rho(P) <= ||P||_2
-<= ||P||_F, so a word whose Frobenius norm lies below the floor, the
-largest value (2-norm or spectral radius) among the 4 words with the
-largest Frobenius norms, cannot hold the maximum.  The 1e-10 margin
-covers rounding, and the first spectral maximizer among the survivors in
-lexicographic order is the one an unscreened scan would pick.  Real
-families (every imaginary part exactly 0) run in float64, in the scan
-and the path kernel alike.  Letters are 0-based here; the scan's record
-gives 1-based words, as the public API does.
+so batched SVD and ``eigvals`` run behind two exact screens.  The floor
+is the largest value (2-norm or spectral radius) among the 4 words with
+the largest Frobenius norms, and a word whose bound lies below it cannot
+hold the maximum.  The first bound is rho(P) <= ||P||_2 <= ||P||_F; the
+second, taken by one batched matmul on the words the first lets through,
+is rho(P) <= ||P^2||_F^(1/2) for spectral radii (Gelfand) and
+||P||_2 <= ||P^H P||_F^(1/2) for 2-norms.  Each word is valued at most
+once.  The 1e-10 margin covers rounding, and the first spectral
+maximizer among the survivors in lexicographic order is the one an
+unscreened scan would pick.  The pruned search cuts a word on the
+Frobenius bound before it takes an SVD (``norms_above``).  Real families
+(every imaginary part exactly 0) run in float64, in the scan and the
+path kernel alike.  Letters are 0-based here; the scan's record gives
+1-based words, as the public API does.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ _SCREEN_MARGIN = 1.0 - 1e-10
 # below this the squares summed into ||P||_F may underflow, so the screen
 # is skipped (and every word is checked) rather than trusted
 _SCREEN_FLOOR = 1e-140
+# the second bound sums the squares of P^2 (or P^H P), entries of the
+# order of the value squared: it is trusted only from this floor up
+_SQUARE_FLOOR = _SCREEN_FLOOR ** 0.5
 # entries in the GEMM result of one block of parents: each result is a
 # temporary until it is copied into its slot of the level, and blocks keep
 # it small next to the level (256 KB in complex128)
@@ -157,29 +165,78 @@ def frobenius(prods):
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
-def _screened(values_of, prods, fro, candidates):
+def _square(prods):
+    """P^2, whose Frobenius norm bounds rho(P)^2."""
+    return prods @ prods
+
+
+def _gram(prods):
+    """P^H P, whose Frobenius norm bounds ||P||_2^2."""
+    return np.ascontiguousarray(prods.transpose(0, 2, 1).conj()) @ prods
+
+
+def _squared_bound(squared, prods, fro):
+    """||``squared``(P)||_F + 1e-10 ||P||_F^2, an upper bound on the square
+    of the value SVD or ``eigvals`` computes: their backward error and the
+    matmul's rounding are a few ulps of ||P||_F^2, which for a nearly
+    nilpotent P exceed rho(P)^2 itself."""
+    return frobenius(squared(prods)) + (1.0 - _SCREEN_MARGIN) * fro * fro
+
+
+def _screened(values_of, squared, prods, fro, candidates):
     """(indices, values) of the candidates that can hold the maximum of
-    ``values_of`` (2-norm or spectral radius, both <= ||P||_F): those whose
-    Frobenius norm reaches the floor, the largest value among the
-    ``_SCREEN_TOP`` candidates with the largest Frobenius norms.  The floor
-    is at most the maximum, so every word that ties the maximum survives.
-    A set no larger than ``_SCREEN_TOP`` is valued whole."""
-    if candidates.size > _SCREEN_TOP:
-        top = np.argpartition(fro[candidates], -_SCREEN_TOP)[-_SCREEN_TOP:]
-        floor = values_of(prods[candidates[top]]).max()
-        if floor >= _SCREEN_FLOOR:
-            candidates = candidates[fro[candidates] >= floor * _SCREEN_MARGIN]
-    return candidates, values_of(prods[candidates])
+    ``values_of`` (2-norm or spectral radius), in candidate order.  The
+    floor is the largest value among the ``_SCREEN_TOP`` candidates with
+    the largest Frobenius norms, and a word stays only when its Frobenius
+    norm and then its bound from ``squared`` (``_square`` or ``_gram``)
+    reach the floor.  The floor is at most the maximum, so every word that
+    ties the maximum survives.  The floor words are valued once, and
+    ``values_of`` runs on the rest only if some survive.  A set no larger
+    than ``_SCREEN_TOP`` is valued whole."""
+    if candidates.size <= _SCREEN_TOP:
+        return candidates, values_of(prods[candidates])
+    f = fro[candidates]
+    order = np.argpartition(f, -_SCREEN_TOP)
+    kept, rest = order[-_SCREEN_TOP:], order[:-_SCREEN_TOP]
+    values = values_of(prods[candidates[kept]])
+    floor = values.max()
+    if floor >= _SCREEN_FLOOR:
+        cut = floor * _SCREEN_MARGIN
+        top = f[kept] >= cut
+        kept, values, rest = kept[top], values[top], rest[f[rest] >= cut]
+        if floor >= _SQUARE_FLOOR and rest.size:
+            rest = rest[_squared_bound(squared, prods[candidates[rest]],
+                                       f[rest]) >= cut * cut]
+    if rest.size:
+        kept = np.concatenate([kept, rest])
+        values = np.concatenate([values, values_of(prods[candidates[rest]])])
+    order = np.argsort(kept)
+    return candidates[kept[order]], values[order]
 
 
 def level_witness(prods, fro, candidates, n):
     """(index, value, level maximum): the first candidate whose averaged
     value rho(P)^(1/n) is within 1e-12 of the largest on this level."""
-    kept, rhos = _screened(spectral_radii, prods, fro, candidates)
+    kept, rhos = _screened(spectral_radii, _square, prods, fro, candidates)
     avs = rhos ** (1.0 / n)
     top = float(avs.max())
     j = first_near_max(avs, 1e-12 * max(top, 1.0))
     return int(kept[j]), float(avs[j]), top
+
+
+def norms_above(prods, fro, n, scale, level):
+    """(indices, values) of the products whose averaged norm
+    scale*||P||_2^(1/n) exceeds ``level``.  A product is cut without an SVD
+    when its Frobenius norm f gives scale*(f*(1+1e-10))^(1/n) <= level:
+    its computed 2-norm lies below f*(1+1e-10), so the SVD would cut it
+    too.  A Frobenius norm below ``_SCREEN_FLOOR``, whose squares may have
+    underflowed, cuts nothing."""
+    cut = (fro >= _SCREEN_FLOOR) & (
+        scale * (fro / _SCREEN_MARGIN) ** (1.0 / n) <= level)
+    live = np.flatnonzero(~cut)
+    norms = scale * two_norms(prods[live]) ** (1.0 / n)
+    above = norms > level
+    return live[above], norms[above]
 
 
 @dataclass(frozen=True)
@@ -221,7 +278,7 @@ def scan_words(mats, depth, node_budget) -> WordScan:
         prods = children(prods, mats)
         nodes += m
         fro = frobenius(prods)
-        _, norms = _screened(two_norms, prods, fro, np.arange(m))
+        _, norms = _screened(two_norms, _gram, prods, fro, np.arange(m))
         top = float(norms.max())
         max_norm[n - 1] = top ** (1.0 / n) if top > 0.0 else 0.0
         j, val, max_rho[n - 1] = level_witness(prods, fro,

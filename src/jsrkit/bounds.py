@@ -8,8 +8,11 @@ Gripenberg-style branch-and-bound instead of exhausting every depth.
 
 Both walk the word tree level by level through the batched frontier step
 of ``_kernels``; the exhaustive scan (``_kernels.scan_words``) takes
-singular values and eigenvalues only where an exact Frobenius-norm screen
-says the level maximum can be.
+singular values and eigenvalues only where two exact screens, the
+Frobenius norm and then ||P^2||_F^(1/2) or ||P^H P||_F^(1/2), say the level
+maximum can be, and the pruned search takes an SVD only of the words whose
+Frobenius norm does not already decide the cut (``_kernels.norms_above``).
+Both work on the family over its scale (``MatrixFamily.normalized_mats``).
 
 Tie rule, shared by both: values are compared on the family divided by
 its scale, so a rescaled family decides the same way.  A level's witness
@@ -61,8 +64,7 @@ def _scan(family: MatrixFamily, depth: int,
     if scale == 0.0:
         return _kernels.WordScan(np.zeros(depth), np.zeros(depth), 0.0, (1,),
                                  family.size, depth, True)
-    mats = np.ascontiguousarray(family.mats / scale)
-    res = _kernels.scan_words(mats, depth, node_budget)
+    res = _kernels.scan_words(family.normalized_mats(), depth, node_budget)
     return replace(res, max_rho=res.max_rho * scale,
                    max_norm=res.max_norm * scale,
                    best_val=max(res.best_val, 0.0) * scale,
@@ -157,7 +159,7 @@ def pruned_search(family: MatrixFamily, tol: float,
     if scale == 0.0:
         return BoundsBracket(0.0, 0.0, (1,), 1, family.size, True)
     # work on the rescaled family so products stay near magnitude 1
-    mats = _kernels.real_if_exact(family.mats / scale)
+    mats = _kernels.real_if_exact(family.normalized_mats())
     prods = np.eye(family.dim, dtype=mats.dtype)[None]
     words = np.zeros((1, 0), np.int64)
     lengths = np.ones(1, np.int64)
@@ -170,16 +172,15 @@ def pruned_search(family: MatrixFamily, tol: float,
                                                          family.size)
         nodes += prods.shape[0]
         canon = np.flatnonzero(canon)
+        fro = _kernels.frobenius(prods)
         if canon.size:
-            j, val, _ = _kernels.level_witness(
-                prods, _kernels.frobenius(prods), canon, depth)
+            j, val, _ = _kernels.level_witness(prods, fro, canon, depth)
             if val > best_val + 1e-12 * max(best_val, 1.0):
                 best_val, best_word = val, words[j]
         lower = scale * best_val
-        norms = scale * _kernels.two_norms(prods) ** (1.0 / depth)
-        keep = norms > lower + tol
-        prods, words, norms = prods[keep], words[keep], norms[keep]
-        lengths = lengths[keep]
+        keep, norms = _kernels.norms_above(prods, fro, depth, scale,
+                                           lower + tol)
+        prods, words, lengths = prods[keep], words[keep], lengths[keep]
         if nodes >= node_budget:
             break
     complete = not prods.shape[0] and nodes < node_budget

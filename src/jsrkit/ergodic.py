@@ -52,8 +52,8 @@ def lyapunov_exact_finite(family: MatrixFamily, mu: ShiftMeasure, n: int,
     # a zero product (or family) has log norm -inf, and then so has the sum
     scale = family.scale or 1.0
     live = probs > 0.0
-    mats = np.ascontiguousarray(family.mats / scale)
-    logs = _kernels.path_log_norms(mats, words[live]) + math.log(scale)
+    logs = (_kernels.path_log_norms(family.normalized_mats(), words[live])
+            + math.log(scale))
     return LyapunovEstimate(float(probs[live] @ logs), "exact-finite-n", n)
 
 
@@ -101,8 +101,8 @@ def lyapunov_monte_carlo(family: MatrixFamily, mu: MarkovMeasure,
     scale = family.scale
     if scale == 0.0:
         return LyapunovEstimate(-math.inf, "monte-carlo", samples)
-    mats = np.ascontiguousarray(family.mats / scale)
-    vals = _kernels.path_log_norms(mats, paths) + math.log(scale)
+    vals = (_kernels.path_log_norms(family.normalized_mats(), paths)
+            + math.log(scale))
     if np.any(np.isneginf(vals)):
         return LyapunovEstimate(-math.inf, "monte-carlo", samples)
     mean = float(np.mean(vals))
@@ -277,7 +277,7 @@ def _ranked_candidate_words(family: MatrixFamily, max_len: int,
     ``node_cap`` words, part way through a level if need be; values within
     1e-12 tie, and ties go to the shorter, then the lexicographically
     first, word."""
-    mats = _kernels.real_if_exact(family.mats / (family.scale or 1.0))
+    mats = _kernels.real_if_exact(family.normalized_mats())
     prods = np.eye(family.dim, dtype=mats.dtype)[None]
     words = np.zeros((1, 0), np.int64)
     lengths = np.ones(1, np.int64)

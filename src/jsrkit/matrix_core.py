@@ -95,6 +95,17 @@ class MatrixFamily:
         first use; the stack is read-only)."""
         return float(max(operator_norm(a) for a in self.mats))
 
+    def normalized_mats(self) -> np.ndarray:
+        """The stack over its scale (over 1 when the scale is 0), so every
+        member has 2-norm at most 1.  numpy divides a complex stack by a
+        real number through its reciprocal, which overflows when the scale
+        is subnormal; such a stack and scale are first raised by 2^64, which
+        is exact."""
+        mats, scale = self.mats, self.scale or 1.0
+        if scale < np.finfo(np.float64).tiny:
+            mats, scale = mats * 2.0 ** 64, scale * 2.0 ** 64
+        return mats / scale
+
     def scaled(self, factor: float) -> "MatrixFamily":
         return MatrixFamily(self.mats * factor)
 

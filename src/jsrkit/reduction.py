@@ -65,8 +65,7 @@ def algebra_closure(family: MatrixFamily) -> AlgebraResult:
     """
     d = family.dim
     full = d * d
-    scale = family.scale
-    gens = family.mats / (scale if scale > 0 else 1.0)
+    gens = family.normalized_mats()
     level = np.concatenate([np.eye(d, dtype=np.complex128)[None], gens])
     ortho = np.zeros((0, full), np.complex128)  # accepted rows, orthonormal
     kept: list[np.ndarray] = []

@@ -95,11 +95,21 @@ class TestBracketProperties:
     # back, rounds one ulp above the scale here
     @example(np.array([[[0.8677213780652736, 0.05283808503854799],
                         [-1.0159735470221951, -1.3970518935029943]]]), 1)
+    # a subnormal scale: 1/scale overflowed, and the SVD met inf and nan
+    @example(np.array([[[2.22507386e-309]]]), 1)
     @settings(max_examples=60, deadline=None)
     def test_upper_at_most_scale(self, mats, depth):
         # max_k ||S_k|| is the level-1 upper bound, exactly
         fam = MatrixFamily(mats)
         assert bounds_bracket(fam, depth).upper <= fam.scale
+
+    def test_subnormal_family(self):
+        # the rescaled stack is finite, so the scan runs as on any family
+        fam = MatrixFamily.from_matrices(
+            [np.array([[2.22507386e-309, 1e-309], [0, 1e-309]])])
+        b = bounds_bracket(fam, 2)
+        assert b.lower == pytest.approx(2.22507386e-309, rel=1e-9)
+        assert b.lower <= b.upper <= fam.scale
 
     def test_zero_family(self):
         b = bounds_bracket(MatrixFamily(np.zeros((2, 2, 2))), 4)

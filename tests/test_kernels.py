@@ -13,6 +13,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jsrkit import MatrixFamily, _kernels
 from jsrkit.matrix_core import operator_norm, spectral_radius, word_product
@@ -190,6 +193,30 @@ class TestScreenWorstCases:
         mats = 1e-50 * random_family(8, k=2, d=3).mats
         assert_matches_brute(mats, 4)
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_rank_one_normal_square_bound_is_radius(self, cplx):
+        # every product is c u u^H for one unit u, so ||P^2||_F^(1/2) ==
+        # rho(P) == ||P||_F and only the 1e-10 screen margin keeps rounding
+        # from dropping the maximizer; the first two letters tie in modulus
+        rng = np.random.default_rng(9)
+        u = rng.standard_normal(3)
+        if cplx:
+            u = u + 1j * rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        c = np.array([0.9, 0.9 * np.exp(0.4j) if cplx else -0.9, 0.7])
+        mats = c[:, None, None] * np.outer(u, u.conj())[None]
+        assert_matches_brute(mats, 5)
+        assert_matches_brute(mats, 5, oracle_dedup=False)
+
+    def test_squares_of_squares_underflow(self):
+        # products near 1e-80 at depth 2 and 1e-120 at depth 3: their
+        # Frobenius norms are trusted, but the squares summed into
+        # ||P^2||_F (near 1e-320 and 1e-480) underflow, so below a floor of
+        # 1e-70 the second bound is skipped; at depth 3 the spectral
+        # maximizer lies outside the four largest Frobenius norms
+        mats = 1e-40 * random_family(19, k=3, d=3).mats
+        assert_matches_brute(mats, 3)
+
 
 def _stacked_children(prods, mats):
     """Every product times every letter as one broadcast matmul."""
@@ -229,6 +256,15 @@ def _counting(values_of):
     return wrapped, calls
 
 
+@st.composite
+def stacks(draw):
+    """(8, d, d) stacks, d in 1..4, real or complex."""
+    entries = arrays(np.float64, (8,) + (draw(st.integers(1, 4)),) * 2,
+                     elements=st.floats(-4, 4))
+    prods = draw(entries)
+    return prods + 1j * draw(entries) if draw(st.booleans()) else prods
+
+
 def _top1_kept(values_of, prods, fro, candidates):
     """How many candidates a floor from the single word with the largest
     Frobenius norm keeps."""
@@ -248,7 +284,8 @@ class TestScreen:
         fro = _kernels.frobenius(prods)
         candidates = np.array([5, 0, 3, 2][:size])
         values_of, calls = _counting(_kernels.spectral_radii)
-        kept, values = _kernels._screened(values_of, prods, fro, candidates)
+        kept, values = _kernels._screened(values_of, _kernels._square,
+                                           prods, fro, candidates)
         assert calls == [size]
         assert kept.tolist() == candidates.tolist()
         np.testing.assert_array_equal(
@@ -256,13 +293,54 @@ class TestScreen:
 
     def test_floor_comes_from_the_top_four(self):
         # five candidates: one call values the four largest Frobenius
-        # norms, a second the survivors
+        # norms; the fifth falls below the floor, so no second call
         prods = np.stack([np.diag([v, 0.0]) for v in (1.0, 5.0, 4.0, 3.0, 2.0)])
         fro = _kernels.frobenius(prods)
         values_of, calls = _counting(_kernels.spectral_radii)
-        kept, values = _kernels._screened(values_of, prods, fro, np.arange(5))
-        assert calls == [4, 1]
+        kept, values = _kernels._screened(values_of, _kernels._square,
+                                          prods, fro, np.arange(5))
+        assert calls == [4]
         assert kept.tolist() == [1] and values.tolist() == [5.0]
+
+    def test_floor_words_are_valued_once(self):
+        # four nearly nilpotent words hold the largest Frobenius norms and
+        # set the floor 0.4; of the rest, E passes both bounds, F (P^2 = 0)
+        # only the Frobenius one, G neither, so one more call values E alone
+        top = [np.array([[0.0, 10.0 - i], [0.0, 0.1 * (i + 1)]])
+               for i in range(4)]
+        e = np.diag([3.0, 0.0])
+        f = np.array([[0.0, 2.0], [0.0, 0.0]])
+        g = np.diag([0.1, 0.0])
+        prods = np.stack([g, top[0], f, top[1], e, top[2], top[3]])
+        fro = _kernels.frobenius(prods)
+        values_of, calls = _counting(_kernels.spectral_radii)
+        kept, values = _kernels._screened(values_of, _kernels._square,
+                                          prods, fro, np.arange(7))
+        assert calls == [4, 1]
+        assert kept.tolist() == [1, 3, 4, 5, 6]
+        np.testing.assert_array_equal(
+            values, _kernels.spectral_radii(prods[kept]))
+
+    @given(stacks())
+    # a rotated nilpotent: P^2 = 0 but for rounding, and eigvals returns
+    # rho near sqrt(eps), above ||fl(P^2)||_F^(1/2) without the rounding term
+    @example(np.array([[[0.42611349234136214, 0.567375798193165],
+                        [-0.32002194829878, -0.42611349234136214]]]))
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_reach_their_values(self, prods):
+        # every bound the screens use is at least its computed value, less
+        # the margin: ||P||_F for both, ||P^2||_F^(1/2) for rho and
+        # ||P^H P||_F^(1/2) for ||P||_2, with the rounding term; each from
+        # its floor up, where the squares it sums do not underflow
+        fro = _kernels.frobenius(prods)
+        for values_of, squared in ((_kernels.spectral_radii, _kernels._square),
+                                   (_kernels.two_norms, _kernels._gram)):
+            cut = values_of(prods) * _kernels._SCREEN_MARGIN
+            trusted = cut >= _kernels._SCREEN_FLOOR
+            assert np.all(fro[trusted] >= cut[trusted])
+            bound = _kernels._squared_bound(squared, prods, fro)
+            trusted = cut >= _kernels._SQUARE_FLOOR
+            assert np.all(bound[trusted] >= cut[trusted] ** 2)
 
     def test_largest_norm_with_small_radius(self):
         # the two largest Frobenius norms belong to almost nilpotent words;
@@ -282,8 +360,8 @@ class TestScreen:
         assert np.argsort(fro)[-3] == 19 and int(np.argmax(rhos)) == 19
         j, val, top = _kernels.level_witness(prods, fro, candidates, 1)
         assert j == 19 and val == top == rhos[19]
-        kept, _ = _kernels._screened(_kernels.spectral_radii, prods, fro,
-                                     candidates)
+        kept, _ = _kernels._screened(_kernels.spectral_radii,
+                                     _kernels._square, prods, fro, candidates)
         assert kept.tolist() == [17, 18, 19]
         assert kept.size <= _top1_kept(_kernels.spectral_radii, prods, fro,
                                        candidates)
@@ -299,14 +377,35 @@ class TestScreen:
             prods = _kernels.children(prods, mats)
         fro = _kernels.frobenius(prods)
         candidates = _kernels.canonical_index(k, n)
-        for values_of in (_kernels.two_norms, _kernels.spectral_radii):
-            kept, values = _kernels._screened(values_of, prods, fro, candidates)
+        for values_of, squared in ((_kernels.two_norms, _kernels._gram),
+                                   (_kernels.spectral_radii, _kernels._square)):
+            kept, values = _kernels._screened(values_of, squared, prods, fro,
+                                              candidates)
             every = values_of(prods[candidates])
             assert values.max() == every.max()
             tie = 1e-12 * every.max()
             assert (kept[_kernels.first_near_max(values, tie)]
                     == candidates[_kernels.first_near_max(every, tie)])
             assert kept.size <= _top1_kept(values_of, prods, fro, candidates)
+
+
+class TestNormsAbove:
+    def test_cuts_as_the_svd_does(self):
+        # rank-one products: ||P||_2 == ||P||_F, and rounding puts the SVD's
+        # value a few ulps above the Frobenius norm on about a third of
+        # them; at a level equal to such a Frobenius norm only the 1e-10
+        # margin keeps the bounds from cutting a product the SVD keeps
+        rng = np.random.default_rng(3)
+        prods = np.einsum("ni,nj->nij", rng.standard_normal((200, 3)),
+                          rng.standard_normal((200, 3)))
+        fro = _kernels.frobenius(prods)
+        norms = _kernels.two_norms(prods)
+        above = np.flatnonzero(norms > fro)
+        assert above.size > 20
+        for level in fro[above[:20]]:
+            keep, values = _kernels.norms_above(prods, fro, 1, 1.0, level)
+            assert keep.tolist() == np.flatnonzero(norms > level).tolist()
+            np.testing.assert_array_equal(values, norms[keep])
 
 
 def _walk(k, n, primitive=False):

@@ -126,6 +126,21 @@ class TestMatrixFamily:
     def test_scaled(self, golden_pair):
         assert golden_pair.scaled(2.0).scale == pytest.approx(2.0 * PHI)
 
+    @pytest.mark.parametrize("factor", [1e-300, 1.0, 1e300])
+    def test_normalized_is_the_division(self, factor):
+        # in the normal range the stack over its scale, bit for bit
+        fam = random_family(4, k=3, d=3, scale=factor)
+        np.testing.assert_array_equal(fam.normalized_mats(),
+                                      fam.mats / fam.scale)
+
+    @pytest.mark.parametrize("entry", [2.22507386e-309, 5e-324])
+    def test_normalized_subnormal_scale(self, entry):
+        # 1/scale overflows: the division numpy does would give inf and nan
+        fam = MatrixFamily.from_matrices([[[entry, 0.4 * entry], [0, entry]]])
+        unit = fam.normalized_mats()
+        assert np.all(np.isfinite(unit.view(np.float64)))
+        assert operator_norm(unit[0]) == pytest.approx(1.0, rel=1e-12)
+
 
 class TestWordProduct:
     def test_empty_is_identity(self, golden_pair):

@@ -117,6 +117,14 @@ class TestPrunedSearchOracle:
         b = assert_pruned_matches(fam, 1e-6)
         assert b.depth_explored == 64 and not b.complete
 
+    def test_products_below_the_screen_floor_reach_the_svd(self):
+        # ||S^n||^(1/n) stays above rho + tol on one word, while the
+        # product falls to about 1e-168 by depth 64: the squares summed into
+        # its Frobenius norm underflow to 0, so no bound may cut it
+        fam = MatrixFamily.from_matrices([[[0.002, 1.0], [0.0, 0.002]]])
+        b = assert_pruned_matches(fam, 1e-6)
+        assert b.depth_explored == 64 and b.nodes_visited == 64
+
     def test_cut_keeps_only_norms_above_lower_plus_tol(self):
         # ||N|| = 1 is exactly lower + tol = 0.5 + 0.5, so N is cut and the
         # search ends after one level
