@@ -14,23 +14,31 @@ Lyndon prefix, carried from parent to child in O(1): the pruned search
 and the candidate ranking carry p beside their letter arrays.
 
 ``scan_words`` keeps every word.  It carries a level of length n as the
-base-K indices c = 0..K^n-1 (canonical words come from
-``canonical_index``, cached per (K, n)) and keeps per level only the
-largest 2-norm and the first canonical word of largest spectral radius,
-so batched SVD and ``eigvals`` run behind two exact screens.  The floor
-is the largest value (2-norm or spectral radius) among the 4 words with
-the largest Frobenius norms, and a word whose bound lies below it cannot
-hold the maximum.  The first bound is rho(P) <= ||P||_2 <= ||P||_F; the
-second, taken by one batched matmul on the words the first lets through,
-is rho(P) <= ||P^2||_F^(1/2) for spectral radii (Gelfand) and
-||P||_2 <= ||P^H P||_F^(1/2) for 2-norms.  Each word is valued at most
-once.  The 1e-10 margin covers rounding, and the first spectral
-maximizer among the survivors in lexicographic order is the one an
-unscreened scan would pick.  The pruned search cuts a word on the
-Frobenius bound before it takes an SVD (``norms_above``).  Real families
-(every imaginary part exactly 0) run in float64, in the scan and the
-path kernel alike.  Letters are 0-based here; the scan's record gives
-1-based words, as the public API does.
+base-K indices c = 0..K^n-1 (Lyndon words come from ``lyndon_index``,
+cached per (K, n)) and keeps per level only the largest 2-norm and the
+running maximum of the spectral values, so batched SVD and ``eigvals``
+run behind two exact screens.  The floor is the largest value (2-norm or
+spectral radius) among the 4 words with the largest Frobenius norms, and
+a word whose bound lies below it cannot hold the maximum.  The first
+bound is rho(P) <= ||P||_2 <= ||P||_F; the second, taken by one batched
+matmul on the words the first lets through, is rho(P) <= ||P^2||_F^(1/2)
+for spectral radii (Gelfand) and ||P||_2 <= ||P^H P||_F^(1/2) for
+2-norms.  Each word is valued at most once.  The 1e-10 margin covers
+rounding, and the first spectral maximizer among the survivors in
+lexicographic order is the one an unscreened scan would pick.
+
+Both walks, the scan and the pruned search, share one witness rule
+(``level_witness``): spectral radii are taken only on Lyndon words, since
+rho is invariant under rotation and a power u^k ties the shorter u, and
+only on those whose two bounds still reach the running witness, a known
+floor that cuts before the floor of the 4 does.  So the witness is the
+first Lyndon word that can beat it, a level that cannot raise the lower
+bound runs no ``eigvals``, and the answers are those of a walk that
+values every canonical word (Gripenberg's branch-and-bound rule).  The
+pruned search cuts a word on the Frobenius bound before it takes an SVD
+(``norms_above``).  Real families (every imaginary part exactly 0) run
+in float64, in the scan and the path kernel alike.  Letters are 0-based
+here; the scan's record gives 1-based words, as the public API does.
 """
 
 from __future__ import annotations
@@ -118,23 +126,23 @@ def child_necklaces(words, lengths, k, primitive=False):
 
 @functools.lru_cache(maxsize=64)
 def _full_level(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lengths, canonical index) of the k^n words of length n as base-k
+    """(lengths, Lyndon index) of the k^n words of length n as base-k
     codes, from the cached lengths of level n-1: the letter w[n-1-p] of
     parent code c is (c // k^(p-1)) % k."""
     # level 0 is the root: p = 1, and its code 0 gives ref 0
     parent = _full_level(k, n - 1)[0] if n > 1 else np.ones(1, np.int64)
     ref = np.arange(parent.size) // k ** np.maximum(parent - 1, 0) % k
-    lengths, canon = necklace_step(parent, ref, k, n)
-    index = np.flatnonzero(canon)
+    lengths, lyndon = necklace_step(parent, ref, k, n, primitive=True)
+    index = np.flatnonzero(lyndon)
     lengths.setflags(write=False)
     index.setflags(write=False)
     return lengths, index
 
 
-def canonical_index(k: int, n: int) -> np.ndarray:
-    """Base-k codes of the canonical words of length n, in order, built
-    once per (k, n) and returned read-only, since every caller shares the
-    cached array."""
+def lyndon_index(k: int, n: int) -> np.ndarray:
+    """Base-k codes of the Lyndon words of length n (least rotations that
+    are no power of a shorter word), in order, built once per (k, n) and
+    returned read-only, since every caller shares the cached array."""
     return _full_level(k, n)[1]
 
 
@@ -183,30 +191,45 @@ def _squared_bound(squared, prods, fro):
     return frobenius(squared(prods)) + (1.0 - _SCREEN_MARGIN) * fro * fro
 
 
-def _screened(values_of, squared, prods, fro, candidates):
+def _screened(values_of, squared, prods, fro, candidates, floor=0.0):
     """(indices, values) of the candidates that can hold the maximum of
-    ``values_of`` (2-norm or spectral radius), in candidate order.  The
-    floor is the largest value among the ``_SCREEN_TOP`` candidates with
-    the largest Frobenius norms, and a word stays only when its Frobenius
-    norm and then its bound from ``squared`` (``_square`` or ``_gram``)
-    reach the floor.  The floor is at most the maximum, so every word that
-    ties the maximum survives.  The floor words are valued once, and
-    ``values_of`` runs on the rest only if some survive.  A set no larger
-    than ``_SCREEN_TOP`` is valued whole."""
-    if candidates.size <= _SCREEN_TOP:
-        return candidates, values_of(prods[candidates])
+    ``values_of`` (2-norm or spectral radius) and reach ``floor``, in
+    candidate order.  A known ``floor`` (0 for none) cuts first: a word
+    stays only when its Frobenius norm and then its bound from ``squared``
+    (``_square`` or ``_gram``) reach it.  The floor of the level is the
+    largest value among the ``_SCREEN_TOP`` remaining candidates with the
+    largest Frobenius norms, and the same two bounds cut the rest against
+    it.  It is at most the maximum, so every word that ties the maximum
+    survives.  The floor words are valued once, ``values_of`` runs on the
+    rest only if some survive, and each word's bound from ``squared`` is
+    taken at most once.  A set no larger than ``_SCREEN_TOP`` is valued
+    whole, and an empty one makes no call."""
     f = fro[candidates]
+    bound = None
+    if floor >= _SCREEN_FLOOR:
+        cut = floor * _SCREEN_MARGIN
+        live = f >= cut
+        candidates, f = candidates[live], f[live]
+        if floor >= _SQUARE_FLOOR and candidates.size:
+            bound = _squared_bound(squared, prods[candidates], f)
+            live = bound >= cut * cut
+            candidates, f, bound = candidates[live], f[live], bound[live]
+    if candidates.size <= _SCREEN_TOP:
+        if not candidates.size:
+            return candidates, np.zeros(0)
+        return candidates, values_of(prods[candidates])
     order = np.argpartition(f, -_SCREEN_TOP)
     kept, rest = order[-_SCREEN_TOP:], order[:-_SCREEN_TOP]
     values = values_of(prods[candidates[kept]])
-    floor = values.max()
-    if floor >= _SCREEN_FLOOR:
-        cut = floor * _SCREEN_MARGIN
-        top = f[kept] >= cut
-        kept, values, rest = kept[top], values[top], rest[f[rest] >= cut]
-        if floor >= _SQUARE_FLOOR and rest.size:
-            rest = rest[_squared_bound(squared, prods[candidates[rest]],
-                                       f[rest]) >= cut * cut]
+    top = values.max()
+    if top >= _SCREEN_FLOOR:
+        cut = top * _SCREEN_MARGIN
+        high = f[kept] >= cut
+        kept, values, rest = kept[high], values[high], rest[f[rest] >= cut]
+        if top >= _SQUARE_FLOOR and rest.size:
+            b = (bound[rest] if bound is not None else
+                 _squared_bound(squared, prods[candidates[rest]], f[rest]))
+            rest = rest[b >= cut * cut]
     if rest.size:
         kept = np.concatenate([kept, rest])
         values = np.concatenate([values, values_of(prods[candidates[rest]])])
@@ -214,10 +237,20 @@ def _screened(values_of, squared, prods, fro, candidates):
     return candidates[kept[order]], values[order]
 
 
-def level_witness(prods, fro, candidates, n):
-    """(index, value, level maximum): the first candidate whose averaged
-    value rho(P)^(1/n) is within 1e-12 of the largest on this level."""
-    kept, rhos = _screened(spectral_radii, _square, prods, fro, candidates)
+def level_witness(prods, fro, candidates, n, best):
+    """(index, value, maximum) over the candidates whose averaged value
+    rho(P)^(1/n) can beat ``best``, the running witness (normalized, so at
+    most 1; below 0 before the first level): the first within 1e-12 of
+    the largest, and that largest.  None when no candidate can; then no
+    ``eigvals`` runs.  A candidate is cut when its bounds fall below
+    (best*(1 - 1e-11))^n: a word of averaged value below best*(1 - 1e-11)
+    can neither beat the witness by 1e-12 nor lie within 1e-12 of a level
+    maximum that does."""
+    floor = (best * (1.0 - 1e-11)) ** n if best > 0.0 else 0.0
+    kept, rhos = _screened(spectral_radii, _square, prods, fro, candidates,
+                           floor)
+    if not kept.size:
+        return None
     avs = rhos ** (1.0 / n)
     top = float(avs.max())
     j = first_near_max(avs, 1e-12 * max(top, 1.0))
@@ -241,10 +274,10 @@ def norms_above(prods, fro, n, scale, level):
 
 @dataclass(frozen=True)
 class WordScan:
-    """What ``scan_words`` found: per-level maxima and the spectral
+    """What ``scan_words`` found: per-level bounds and the spectral
     witness, the only word it keeps (1-based, as in the public API)."""
 
-    max_rho: np.ndarray   # per depth n: max over |w| = n of rho(P(w))^(1/n)
+    max_rho: np.ndarray   # per depth n: max over |w| <= n of rho(P(w))^(1/|w|)
     max_norm: np.ndarray  # per depth n: max over |w| = n of ||P(w)||^(1/n)
     best_val: float       # the spectral witness's value, -1 before level 1
     best_word: tuple[int, ...]
@@ -256,17 +289,20 @@ class WordScan:
 def scan_words(mats, depth, node_budget) -> WordScan:
     """Exhaustive scan over all words of length 1..depth, level by level.
 
-    Finds per-depth maxima of averaged norm and averaged spectral value
-    (the latter over canonical words, since rho is invariant under
-    rotation) and the best (value, word) for the spectral lower bound with
-    shorter-then-lexicographic tie-breaking.  A level is scanned only when
-    it fits in the remaining node budget.
+    Finds per-depth maxima of averaged norm, the running maximum of the
+    averaged spectral value (the depth-n lower bound) and the best
+    (value, word) for it with shorter-then-lexicographic tie-breaking.
+    Spectral values are taken on Lyndon words only, since rho is
+    invariant under rotation and a power u^k ties the shorter u, and only
+    on those whose bounds can still beat the witness (``level_witness``).
+    A level is scanned only when it fits in the remaining node budget.
     """
     K, d, _ = mats.shape
     mats = real_if_exact(mats)
     max_rho = np.zeros(depth)
     max_norm = np.zeros(depth)
     best_val, best_word = -1.0, ()
+    lower = 0.0
     nodes = 0
     completed = True
     prods = np.eye(d, dtype=mats.dtype)[None]
@@ -281,11 +317,13 @@ def scan_words(mats, depth, node_budget) -> WordScan:
         _, norms = _screened(two_norms, _gram, prods, fro, np.arange(m))
         top = float(norms.max())
         max_norm[n - 1] = top ** (1.0 / n) if top > 0.0 else 0.0
-        j, val, max_rho[n - 1] = level_witness(prods, fro,
-                                               canonical_index(K, n), n)
-        if val > best_val + 1e-12 * max(best_val, 1.0):
-            best_val = val
-            best_word = _word(j, K, n)
+        found = level_witness(prods, fro, lyndon_index(K, n), n, best_val)
+        if found:
+            j, val, level_max = found
+            lower = max(lower, level_max)
+            if val > best_val + 1e-12 * max(best_val, 1.0):
+                best_val, best_word = val, _word(j, K, n)
+        max_rho[n - 1] = lower
     levels = depth if completed else n - 1
     return WordScan(max_rho, max_norm, best_val, best_word, nodes, levels,
                     completed)

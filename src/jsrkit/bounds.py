@@ -8,17 +8,23 @@ Gripenberg-style branch-and-bound instead of exhausting every depth.
 
 Both walk the word tree level by level through the batched frontier step
 of ``_kernels``; the exhaustive scan (``_kernels.scan_words``) takes
-singular values and eigenvalues only where two exact screens, the
-Frobenius norm and then ||P^2||_F^(1/2) or ||P^H P||_F^(1/2), say the level
-maximum can be, and the pruned search takes an SVD only of the words whose
-Frobenius norm does not already decide the cut (``_kernels.norms_above``).
-Both work on the family over its scale (``MatrixFamily.normalized_mats``).
+singular values only where two exact screens, the Frobenius norm and then
+||P^H P||_F^(1/2), say the level maximum can be, and the pruned search
+takes an SVD only of the words whose Frobenius norm does not already
+decide the cut (``_kernels.norms_above``).  Both take eigenvalues only of
+the Lyndon words whose bounds, ||P||_F and ||P^2||_F^(1/2), can still beat
+the running witness (``_kernels.level_witness``).  Both work on the
+family over its scale (``MatrixFamily.normalized_mats``).
 
 Tie rule, shared by both: values are compared on the family divided by
 its scale, so a rescaled family decides the same way.  A level's witness
-is its first word, lexicographically, within 1e-12 of the level maximum,
-and a deeper level replaces the witness only if it beats it by more than
-that.  Ties go to the shorter word, then to the lexicographically first.
+is its first Lyndon word, lexicographically, within 1e-12 of the largest
+value among those that can beat the running witness, and it replaces the
+running witness only if it beats it by more than that.  Ties go to the
+shorter word, then to the lexicographically first: a power of a word ties
+the word, and is never valued.  The per-depth lower bound
+(``WordScan.max_rho``) is the running maximum of the levels' spectral
+values.
 """
 
 from __future__ import annotations
@@ -126,10 +132,9 @@ def berger_wang_report(family: MatrixFamily, depth: int,
     if not res.complete:
         raise BudgetExceededError(
             f"node budget {node_budget} exhausted at {res.nodes} nodes")
-    lower = np.maximum.accumulate(res.max_rho)
     upper = np.minimum.accumulate(res.max_norm)
     return [{"n": n, "lower": float(lo), "upper": float(up)}
-            for n, lo, up in zip(range(1, depth + 1), lower, upper)]
+            for n, lo, up in zip(range(1, depth + 1), res.max_rho, upper)]
 
 
 def pruned_search(family: MatrixFamily, tol: float,
@@ -168,15 +173,14 @@ def pruned_search(family: MatrixFamily, tol: float,
     while prods.shape[0] and depth < max_depth:
         depth += 1
         prods = _kernels.children(prods, mats)
-        words, lengths, canon = _kernels.child_necklaces(words, lengths,
-                                                         family.size)
+        words, lengths, lyndon = _kernels.child_necklaces(
+            words, lengths, family.size, primitive=True)
         nodes += prods.shape[0]
-        canon = np.flatnonzero(canon)
         fro = _kernels.frobenius(prods)
-        if canon.size:
-            j, val, _ = _kernels.level_witness(prods, fro, canon, depth)
-            if val > best_val + 1e-12 * max(best_val, 1.0):
-                best_val, best_word = val, words[j]
+        found = _kernels.level_witness(prods, fro, np.flatnonzero(lyndon),
+                                       depth, best_val)
+        if found and found[1] > best_val + 1e-12 * max(best_val, 1.0):
+            best_val, best_word = found[1], words[found[0]]
         lower = scale * best_val
         keep, norms = _kernels.norms_above(prods, fro, depth, scale,
                                            lower + tol)

@@ -241,7 +241,7 @@ def measure_to_finiteness(family: MatrixFamily, mu: ShiftMeasure,
     word = xi.period
     value = averaged_spectral_value(family, word)
     lower = verdict.jsr_bracket.lower
-    attains = value >= lower - 1e-9 * max(1.0, lower)
+    attains = value >= lower - 1e-9 * lower
     steps.append(PipelineStep(
         "candidate-attains-bound", attains,
         f"averaged spectral value {value:.12g} vs lower bound {lower:.12g}"))

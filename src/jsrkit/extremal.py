@@ -83,7 +83,7 @@ def euclidean_certificate(dim: int, transform=None) -> NormCertificate:
 def _realify(x) -> np.ndarray:
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        if np.max(np.abs(x.imag), initial=0.0) > 1e-9 * max(1.0, np.max(np.abs(x))):
+        if np.max(np.abs(x.imag), initial=0.0) > 1e-9 * np.max(np.abs(x)):
             raise ComplexFamilyError("polytope gauge is defined for real vectors")
         x = x.real
     return np.asarray(x, dtype=np.float64)
@@ -196,10 +196,11 @@ def check_extremal_norm(family: MatrixFamily, cert: NormCertificate,
                         rel_tol: float = 1e-8) -> tuple[bool, float, float]:
     """Does max_k ||S_k|| under this norm equal the JSR estimate?
 
-    Returns (verdict, gap, attained) with gap = attained - rho_estimate.
-    The attained value is always a true upper bound on the JSR, whatever
-    the verdict.  A polytope's gauge is built once, for all m x K vertex
-    images.
+    Returns (verdict, gap, attained) with gap = attained - rho_estimate;
+    the verdict holds when |gap| <= rel_tol * |rho_estimate|, relative at
+    every scale.  The attained value is always a true upper bound on the
+    JSR, whatever the verdict.  A polytope's gauge is built once, for all
+    m x K vertex images.
     """
     if cert.dim != family.dim:
         raise ValueError("certificate dimension does not match the family")
@@ -211,7 +212,7 @@ def check_extremal_norm(family: MatrixFamily, cert: NormCertificate,
         images = (cert.vertices @ _realify(family.mats)).reshape(-1, cert.dim)
         attained = float(np.max(_gauge(cert.vertices)(images)))
     gap = attained - rho_estimate
-    ok = abs(gap) <= rel_tol * max(1.0, abs(rho_estimate))
+    ok = abs(gap) <= rel_tol * abs(rho_estimate)
     return ok, gap, attained
 
 

@@ -87,7 +87,7 @@ class MatrixFamily:
 
     @property
     def is_real(self) -> bool:
-        return bool(np.max(np.abs(self.mats.imag), initial=0.0) <= 1e-14 * max(1.0, self.scale))
+        return bool(np.max(np.abs(self.mats.imag), initial=0.0) <= 1e-14 * self.scale)
 
     @functools.cached_property
     def scale(self) -> float:

@@ -266,7 +266,7 @@ def dominant_blocks(result: ReductionResult, depth: int,
     fam_bracket = bounds_bracket(result.family, depth, node_budget)
     brackets = tuple(bounds_bracket(b, depth, node_budget) for b in result.blocks)
     best_lower = max(b.lower for b in brackets)
-    tol = 1e-12 * max(1.0, best_lower)
+    tol = 1e-12 * best_lower
     included = tuple(j + 1 for j, b in enumerate(brackets)
                      if b.upper >= best_lower - tol)
     certain = tuple(j + 1 for j, b in enumerate(brackets)
@@ -327,7 +327,7 @@ def _certificate(family: MatrixFamily, rho: float, word: Word,
         return None
     fin = extremal.certify_finiteness(family, word, vertex_budget)
     if (fin.verdict == "certified"
-            and abs(fin.value - rho) <= _RHO_TIE * max(1.0, rho)):
+            and abs(fin.value - rho) <= _RHO_TIE * rho):
         return fin.certificate
     return None
 

@@ -2,14 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from jsrkit import (MatrixFamily, averaged_norm_value, averaged_spectral_value,
-                    berger_wang_report, bounds_bracket, lower_bound,
-                    pruned_search, upper_bound)
-from jsrkit.bounds import BudgetExceededError
+from jsrkit import (MatrixFamily, _kernels, averaged_norm_value,
+                    averaged_spectral_value, berger_wang_report,
+                    bounds_bracket, lower_bound, pruned_search, upper_bound)
+from jsrkit.bounds import BoundsBracket, BudgetExceededError
 
 from conftest import PHI, random_family
 
@@ -36,6 +36,137 @@ def real_families(draw):
     """(K, d, d) stacks with K in 1..3 and d in 1..4."""
     shape = (draw(st.integers(1, 3)),) + (draw(st.integers(1, 4)),) * 2
     return draw(arrays(np.float64, shape, elements=st.floats(-4, 4)))
+
+
+def _unscreened_rule(prods, words, lyndon, n, best_val, best_word):
+    """The tie rule on one level with every Lyndon word valued and no
+    screen: the first word within 1e-12 of the level maximum replaces the
+    witness when it beats it by more than 1e-12.  A power u^k of a shorter
+    word ties u, so it is not valued: its computed spectral radius only
+    adds rounding, which for a defective product can exceed rho."""
+    lyndon = np.flatnonzero(lyndon)
+    if lyndon.size:
+        avs = _kernels.spectral_radii(prods[lyndon]) ** (1.0 / n)
+        j = _kernels.first_near_max(avs, 1e-12 * max(float(avs.max()), 1.0))
+        if avs[j] > best_val + 1e-12 * max(best_val, 1.0):
+            return float(avs[j]), tuple(int(c) + 1 for c in words[lyndon[j]])
+    return best_val, best_word
+
+
+def _root(family):
+    """(normalized letters, identity product, root word, root length)."""
+    mats = _kernels.real_if_exact(family.normalized_mats())
+    return (mats, np.eye(family.dim, dtype=mats.dtype)[None],
+            np.zeros((1, 0), np.int64), np.ones(1, np.int64))
+
+
+def reference_bracket(family, depth, budget):
+    """``bounds_bracket`` from SVDs of every word and eigenvalues of every
+    Lyndon word."""
+    mats, prods, words, lengths = _root(family)
+    best_val, best_word = -1.0, (1,)
+    tops, nodes, complete = [], 0, True
+    for n in range(1, depth + 1):
+        if nodes + prods.shape[0] * family.size > budget:
+            complete = False
+            break
+        prods = _kernels.children(prods, mats)
+        words, lengths, lyndon = _kernels.child_necklaces(
+            words, lengths, family.size, primitive=True)
+        nodes += prods.shape[0]
+        top = float(_kernels.two_norms(prods).max())
+        tops.append(top ** (1.0 / n) if top > 0.0 else 0.0)
+        best_val, best_word = _unscreened_rule(prods, words, lyndon, n,
+                                               best_val, best_word)
+    upper = float(np.min(np.array(tops) * family.scale, initial=family.scale))
+    return BoundsBracket(max(best_val, 0.0) * family.scale, upper, best_word,
+                         len(tops), nodes, complete)
+
+
+def reference_pruned(family, tol, budget, max_depth=64):
+    """``pruned_search`` from SVDs of every frontier word and eigenvalues
+    of every Lyndon one."""
+    mats, prods, words, lengths = _root(family)
+    scale = family.scale
+    best_val, best_word = -1.0, ()
+    nodes = depth = 0
+    while prods.shape[0] and depth < max_depth:
+        depth += 1
+        prods = _kernels.children(prods, mats)
+        words, lengths, lyndon = _kernels.child_necklaces(
+            words, lengths, family.size, primitive=True)
+        nodes += prods.shape[0]
+        best_val, best_word = _unscreened_rule(prods, words, lyndon, depth,
+                                               best_val, best_word)
+        lower = scale * best_val
+        norms = scale * _kernels.two_norms(prods) ** (1.0 / depth)
+        keep = norms > lower + tol
+        prods, words, lengths, norms = (prods[keep], words[keep],
+                                        lengths[keep], norms[keep])
+        if nodes >= budget:
+            break
+    complete = not prods.shape[0] and nodes < budget
+    upper = float(np.max(norms, initial=lower + tol))
+    return BoundsBracket(lower, upper, best_word, depth, nodes, complete)
+
+
+@st.composite
+def walk_cases(draw):
+    """(letters, depth, tol, node budget): K in 1..3, d in 1..3, real or
+    complex, depths whose levels stay small."""
+    k = draw(st.integers(1, 3))
+    entries = arrays(np.float64, (k,) + (draw(st.integers(1, 3)),) * 2,
+                     elements=st.floats(-4, 4))
+    mats = draw(entries)
+    if draw(st.booleans()):
+        mats = mats + 1j * draw(entries)
+    return (mats, draw(st.integers(1, {1: 8, 2: 6, 3: 4}[k])),
+            draw(st.sampled_from([1e-2, 1e-6])),
+            draw(st.sampled_from([60, 3000])))
+
+
+_C, _S = np.cos(0.7), np.sin(0.7)
+# A and A^T with A = [[1, 1.3e-6], [0, 0.5]]: the word (1, 2) has the
+# averaged value ||A||_2 = 1 + 1.13e-12 (normalized), the letters 1
+_NEAR_TIE = np.array([[1.0, 1.3e-6], [0.0, 0.5]])
+
+
+class TestAgainstUnscreenedReference:
+    @given(walk_cases())
+    # a single matrix: no Lyndon word past length 1
+    @example((np.array([[[1.0, 2.0], [0.0, 0.5]]]), 8, 1e-6, 3000))
+    # rho = 1 + 3e-26, but eigvals rounds rho of the powers of this nearly
+    # defective matrix up to 1 + 1.8e-6: only the letter is valued
+    @example((np.array([[[1.0, 3.4332555e-77, 0.0], [1.0, 1.0, 1.0],
+                         [1.0, 0.0, 1.0]]]), 8, 1e-2, 60))
+    # orthogonal letters: every word ties the letter witness
+    @example((np.array([[[_C, -_S], [_S, _C]], [[1.0, 0.0], [0.0, -1.0]]]),
+              6, 1e-2, 3000))
+    @example((np.array([np.diag([1.0, 0.5j]), np.diag([0.5, -1.0])]),
+              6, 1e-6, 3000))
+    # triangular with a 1e-10 diagonal: the spectral values of depth 8 lie
+    # near 1e-80, where the squared bound is not trusted
+    @example((np.array([[[1e-10, 1.0], [0.0, 1e-10]],
+                        [[3e-10, 0.5], [0.0, 2e-10]]]), 8, 1e-6, 3000))
+    @example((np.array([[[1e-10, 1.0], [0.0, 1e-10]],
+                        [[3e-10, 0.5], [0.0, 2e-10]]]), 8, 1e-6, 10**6))
+    # a level that beats a letter by just over 1e-12
+    @example((np.stack([_NEAR_TIE, _NEAR_TIE.T]), 4, 1e-13, 3000))
+    @settings(max_examples=150, deadline=None)
+    def test_same_brackets(self, case):
+        mats, depth, tol, budget = case
+        fam = MatrixFamily(mats)
+        assume(fam.scale > 0.0)
+        assert bounds_bracket(fam, depth, budget) == reference_bracket(
+            fam, depth, budget)
+        assert pruned_search(fam, tol, budget) == reference_pruned(
+            fam, tol, budget)
+
+    def test_near_tie_goes_to_the_longer_word(self):
+        # the case above is what it claims: (1, 2) beats (1,) by > 1e-12
+        fam = MatrixFamily(np.stack([_NEAR_TIE, _NEAR_TIE.T]))
+        assert bounds_bracket(fam, 4).best_word == (1, 2)
+        assert pruned_search(fam, 1e-13, 3000).best_word == (1, 2)
 
 
 class TestAgainstBruteForce:
@@ -121,6 +252,16 @@ class TestBracketProperties:
         fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0]), np.diag([2.0, 1.0])])
         _, word = lower_bound(fam, 4)
         assert word == (1,)
+
+    def test_powers_are_not_valued(self):
+        # rho = 1 + 3e-26, but eigvals rounds rho(A^3)^(1/3) up to
+        # 1 + 1.8e-6; a power ties its letter, which is the witness
+        fam = MatrixFamily.from_matrices([[[1.0, 3.4332555e-77, 0.0],
+                                           [1.0, 1.0, 1.0],
+                                           [1.0, 0.0, 1.0]]])
+        for b in (bounds_bracket(fam, 8), pruned_search(fam, 1e-2, 60)):
+            assert b.best_word == (1,)
+            assert b.lower == averaged_spectral_value(fam, (1,))
 
     def test_golden_pair_depth12(self, golden_pair):
         b = bounds_bracket(golden_pair, 12)

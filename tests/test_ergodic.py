@@ -230,6 +230,17 @@ class TestPipelines:
         assert report.failing_step() == "extremality"
         assert report.steps[-1].passed is False and report.decided
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-14])
+    def test_reverse_attains_check_is_relative(self, scale):
+        # the period (2) is extremal within the verdict's 1e-6, but its
+        # value falls 1e-7 relative short of the lower bound at every scale
+        mats = np.array([np.diag([1.0, 0.0]), np.diag([1.0 - 1e-7, 0.0])])
+        xi = PeriodicSequence(2, (2,))
+        report = measure_to_finiteness(MatrixFamily(mats * scale),
+                                       PeriodicMeasure(xi), xi, 4)
+        assert report.failing_step() == "candidate-attains-bound"
+        assert report.decided
+
     def test_reverse_undecided_steps(self, golden_pair):
         # a depth-1 bracket cannot decide extremality, and one vertex
         # cannot close the golden pair's polytope: neither is a "no"

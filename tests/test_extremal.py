@@ -72,6 +72,12 @@ class TestNormValue:
         with pytest.raises(ComplexFamilyError):
             norm_value(CROSS, np.array([1.0 + 1.0j, 0.0]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-14])
+    def test_complex_vector_rejected_at_any_scale(self, scale):
+        # an imaginary part 1e-6 of the vector's size is not rounding
+        with pytest.raises(ComplexFamilyError):
+            norm_value(CROSS, scale * np.array([1.0 + 1e-6j, 0.0]))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             NormCertificate(dim=2, kind="hexagon")
@@ -249,6 +255,14 @@ class TestCheckExtremalNorm:
         assert ok
         assert attained == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-13])
+    def test_tolerance_is_relative(self, shear, scale):
+        # the shear's Euclidean norm attains phi rho at every scale
+        ok, gap, _ = check_extremal_norm(shear.scaled(scale),
+                                         euclidean_certificate(2), scale)
+        assert not ok
+        assert gap == pytest.approx((PHI - 1.0) * scale, rel=1e-9)
+
     def test_dimension_mismatch(self, shear):
         with pytest.raises(ValueError):
             check_extremal_norm(shear, euclidean_certificate(3), 1.0)
@@ -333,6 +347,16 @@ class TestCertifyFiniteness:
         fam = MatrixFamily.from_matrices([[[1j, 0], [0, 1]]])
         with pytest.raises(ComplexFamilyError):
             certify_finiteness(fam, (1,))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-16])
+    def test_small_complex_family_rejected(self, scale):
+        # the imaginary part counts against the family's scale, not 1:
+        # a real polytope cannot certify the value 1e-16 when rho = 2e-16
+        fam = MatrixFamily(np.array([[[1, 0], [0, 0]], [[0, 0], [0, 2j]]])
+                           * scale)
+        assert not fam.is_real
+        with pytest.raises(ComplexFamilyError):
+            certify_finiteness(fam, (1,), 30)
 
     def test_empty_word_rejected(self, golden_pair):
         with pytest.raises(ValueError):

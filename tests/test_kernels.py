@@ -88,6 +88,8 @@ def assert_matches_brute(mats, depth, budget=10**6, oracle_dedup=True):
      o_nodes, o_complete) = brute_scan(mats, depth, budget, oracle_dedup)
     assert res.nodes == o_nodes
     assert res.complete == o_complete
+    # max_rho is the running maximum over the scanned levels, 0 past them
+    o_rho[:res.levels] = np.maximum.accumulate(o_rho[:res.levels])
     np.testing.assert_allclose(res.max_rho, o_rho, rtol=REL, atol=0.0)
     np.testing.assert_allclose(res.max_norm, o_norm, rtol=REL, atol=0.0)
     assert res.best_word == o_best_word
@@ -147,6 +149,22 @@ class TestScanEquivalence:
         res = _kernels.scan_words(np.ascontiguousarray(mats), 5, budget)
         assert res.nodes == (39 if extra == 0 else 12) and not res.complete
         assert res.levels == (3 if extra == 0 else 2)
+
+
+class TestWitnessRule:
+    @pytest.mark.parametrize("mats", [
+        [np.diag([1.0, 0.5])],
+        [np.diag([1.0, 0.3]), np.diag([0.5, 0.2]), np.diag([0.2, 0.9])]])
+    def test_letter_witness_values_level_one_only(self, mats, monkeypatch):
+        # no Lyndon word past length 1 for one letter, and no word of a
+        # diagonal family beats its largest letter: eigvals runs once
+        values_of, calls = _counting(_kernels.spectral_radii)
+        monkeypatch.setattr(_kernels, "spectral_radii", values_of)
+        mats = np.asarray(mats)
+        res = _kernels.scan_words(mats, 6, 10**6)
+        assert calls == [len(mats)]
+        assert res.best_word == (1,) and res.best_val == 1.0
+        np.testing.assert_array_equal(res.max_rho, np.ones(6))
 
 
 class TestScreenWorstCases:
@@ -321,6 +339,44 @@ class TestScreen:
         np.testing.assert_array_equal(
             values, _kernels.spectral_radii(prods[kept]))
 
+    def test_known_floor_cuts_first(self):
+        # against the floor 1, R passes both bounds and joins the four
+        # largest Frobenius norms (values 1.2, 1.1, 1.3 and 4.5); the floor
+        # 4.5 then cuts R by the bound from squared taken once, for all five
+        rows = [[[1.2, 5.0], [0.0, 0.0]], [[1.1, 5.1], [0.0, 0.0]],
+                [[1.3, 5.2], [0.0, 0.0]], np.diag([4.5, 2.0]),
+                [[2.5, 4.0], [0.0, 0.0]]]
+        prods = np.array(rows, dtype=np.float64)
+        fro = _kernels.frobenius(prods)
+        values_of, calls = _counting(_kernels.spectral_radii)
+        squared, squares = _counting(_kernels._square)
+        kept, values = _kernels._screened(values_of, squared, prods, fro,
+                                          np.arange(5), 1.0)
+        assert calls == [4] and squares == [5]
+        assert kept.tolist() == [0, 1, 2, 3]
+        np.testing.assert_allclose(values, [1.2, 1.1, 1.3, 4.5], rtol=1e-14)
+        # a floor above every Frobenius norm leaves nothing, and no call
+        kept, values = _kernels._screened(values_of, squared, prods, fro,
+                                          np.arange(5), 10.0)
+        assert kept.size == values.size == 0
+        assert calls == [4] and squares == [5]
+
+    def test_witness_floor_keeps_what_can_beat_it(self, monkeypatch):
+        # diagonal words, whose bounds are their values: against the
+        # witness 0.9 only 0.5 is cut; 0.9 (1 + 1.5e-12) is the first word
+        # within 1e-12 of the level maximum 0.9 (1 + 2e-12)
+        vals = 0.9 * np.array([1.0 - 3e-11, 1.0 + 1.5e-12, 1.0, 0.5 / 0.9,
+                               1.0 + 2e-12])
+        prods = np.stack([np.diag([v, 0.0]) for v in vals])
+        fro = _kernels.frobenius(prods)
+        values_of, calls = _counting(_kernels.spectral_radii)
+        monkeypatch.setattr(_kernels, "spectral_radii", values_of)
+        j, val, top = _kernels.level_witness(prods, fro, np.arange(5), 1, 0.9)
+        assert _kernels.level_witness(prods, fro, np.arange(5), 1,
+                                      1.0) is None
+        assert calls == [4]
+        assert (j, val, top) == (1, vals[1], vals[4])
+
     @given(stacks())
     # a rotated nilpotent: P^2 = 0 but for rounding, and eigvals returns
     # rho near sqrt(eps), above ||fl(P^2)||_F^(1/2) without the rounding term
@@ -358,7 +414,7 @@ class TestScreen:
         candidates = np.arange(prods.shape[0])
         rhos = _kernels.spectral_radii(prods)
         assert np.argsort(fro)[-3] == 19 and int(np.argmax(rhos)) == 19
-        j, val, top = _kernels.level_witness(prods, fro, candidates, 1)
+        j, val, top = _kernels.level_witness(prods, fro, candidates, 1, -1.0)
         assert j == 19 and val == top == rhos[19]
         kept, _ = _kernels._screened(_kernels.spectral_radii,
                                      _kernels._square, prods, fro, candidates)
@@ -376,7 +432,8 @@ class TestScreen:
         for _ in range(n):
             prods = _kernels.children(prods, mats)
         fro = _kernels.frobenius(prods)
-        candidates = _kernels.canonical_index(k, n)
+        candidates = np.flatnonzero(
+            [is_canonical(w) for w in itertools.product(range(k), repeat=n)])
         for values_of, squared in ((_kernels.two_norms, _kernels._gram),
                                    (_kernels.spectral_radii, _kernels._square)):
             kept, values = _kernels._screened(values_of, squared, prods, fro,
@@ -424,14 +481,14 @@ class TestCanonicalMask:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cached_index_matches_mask(self, k, n):
-        index = _kernels.canonical_index(k, n)
-        expected = [is_canonical(w)
+        index = _kernels.lyndon_index(k, n)
+        expected = [is_primitive(w)
                     for w in itertools.product(range(k), repeat=n)]
         np.testing.assert_array_equal(index, np.flatnonzero(expected))
-        assert _kernels.canonical_index(k, n) is index
+        assert _kernels.lyndon_index(k, n) is index
 
     def test_cached_index_is_read_only(self):
-        index = _kernels.canonical_index(2, 5)
+        index = _kernels.lyndon_index(2, 5)
         with pytest.raises(ValueError):
             index[0] = 1
 
@@ -439,7 +496,7 @@ class TestCanonicalMask:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_helper_agrees_with_mask(self, k, n):
         # the cached lengths of a full level, stepped on base-k codes
-        lengths, _ = _kernels._full_level(k, n)
+        lengths = _kernels._full_level(k, n)[0]
         expected = [lyndon_prefix(w)
                     for w in itertools.product(range(k), repeat=n)]
         assert lengths.tolist() == expected

@@ -343,6 +343,18 @@ class TestDominantBlocks:
         assert abs(best.lower - fam_b.lower) <= slack + 1e-9
 
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-14])
+    def test_ties_are_relative(self, scale):
+        # lower triangular, block radii 1, 0.5 and 0.45: the first block
+        # alone dominates at every scale
+        a = np.array([[1.0, 0.0, 0.0], [0.3, 0.5, 0.0], [0.2, 0.1, 0.45]])
+        b = np.array([[0.8, 0.0, 0.0], [0.1, 0.4, 0.0], [0.3, 0.2, 0.3]])
+        r = block_triangularize(MatrixFamily(np.stack([a, b]) * scale))
+        report = dominant_blocks(r, 6)
+        assert r.block_sizes == (1, 1, 1)
+        assert report.dominant == report.certain == (1,)
+
+
 def assert_certified(res):
     """An "ok" comes with a verified norm that attains the estimate on E."""
     assert res.status == "ok"
@@ -398,6 +410,16 @@ class TestExtremalSubspace:
         res = extremal_subspace(golden_pair, depth=10)
         assert res.dim == 2
         assert res.rho_estimate == pytest.approx(PHI, abs=1e-9)
+        assert_certified(res)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-13])
+    def test_small_shear_restricts_to_line(self, scale):
+        # the Euclidean norm attains 2.414 rho at every scale, so only the
+        # invariant line carries a verified norm
+        fam = MatrixFamily(np.array([[[1.0, 2.0], [0.0, 1.0]]]) * scale)
+        res = extremal_subspace(fam, 6, vertex_budget=30)
+        assert res.dim == 1
+        assert res.diagnostics.startswith("blocks 1..1")
         assert_certified(res)
 
     def test_zero_family(self):
