@@ -7,11 +7,10 @@ each multiplying the stacked rows of the block by S_j into slot j of an
 (m, K, d, d) array, so children come parent-major and letter-minor and a
 level is in lexicographic order.  Walks that keep only part of a level
 carry their words as (m, n) letter arrays from ``child_words`` (the pruned
-search and the candidate ranking beside their products, the support walk
-of a measure on its own).  One rule, ``necklace_step``, picks the least
-rotation of each word in every walk from the length p of its longest
-Lyndon prefix, carried from parent to child in O(1): the pruned search
-and the candidate ranking carry p beside their letter arrays.
+search beside its products, the support walk of a measure on its own).
+One rule, ``necklace_step``, picks the Lyndon words of every walk from
+the length p of each word's longest Lyndon prefix, carried from parent to
+child in O(1): the pruned search carries p beside its letter arrays.
 
 ``scan_words`` keeps every word.  It carries a level of length n as the
 base-K indices c = 0..K^n-1 (Lyndon words come from ``lyndon_index``,
@@ -97,31 +96,29 @@ def child_words(words, k):
     return np.column_stack([np.repeat(words, k, axis=0), letters])
 
 
-def necklace_step(lengths, ref, k, n, primitive=False):
+def necklace_step(lengths, ref, k, n):
     """The prenecklace step (Fredricksen-Kessler-Maiorana; Ruskey, Savage
     and Wang 1992) over the children w.a of length n, in ``child_words``
     order.  A parent carries p, the length of its longest Lyndon prefix (0
     if it is no prenecklace), and ``ref`` = w[n-1-p]; the child gets 0 if
     p = 0 or a < ref, p if a = ref, and n if a > ref.  Returns the child
-    lengths and a mask of the canonical children (p > 0 divides n: least
-    rotations), or with ``primitive`` of the Lyndon ones (p = n)."""
+    lengths and the mask of the Lyndon children (p = n: least rotations
+    that are no power of a shorter word)."""
     p = np.repeat(lengths, k)
     ref = np.repeat(ref, k)
     a = np.tile(np.arange(k), lengths.size)
     child = np.where((p == 0) | (a < ref), 0, np.where(a == ref, p, n))
-    if primitive:
-        return child, child == n
-    return child, (child > 0) & (n % np.maximum(child, 1) == 0)
+    return child, child == n
 
 
-def child_necklaces(words, lengths, k, primitive=False):
-    """(``child_words(words, k)``, their lengths, mask) by ``necklace_step``;
-    the root (1, 0) array has p = 1 and ref 0, a row with p = 0 any ref."""
+def child_necklaces(words, lengths, k):
+    """(``child_words(words, k)``, their lengths, Lyndon mask) by
+    ``necklace_step``; the root (1, 0) array has p = 1 and ref 0, a row
+    with p = 0 any ref."""
     m, n = words.shape
     ref = (words[np.arange(m), np.minimum(n - lengths, n - 1)] if n
            else np.zeros(m, np.int64))
-    return (child_words(words, k),
-            *necklace_step(lengths, ref, k, n + 1, primitive))
+    return child_words(words, k), *necklace_step(lengths, ref, k, n + 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -132,7 +129,7 @@ def _full_level(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     # level 0 is the root: p = 1, and its code 0 gives ref 0
     parent = _full_level(k, n - 1)[0] if n > 1 else np.ones(1, np.int64)
     ref = np.arange(parent.size) // k ** np.maximum(parent - 1, 0) % k
-    lengths, lyndon = necklace_step(parent, ref, k, n, primitive=True)
+    lengths, lyndon = necklace_step(parent, ref, k, n)
     index = np.flatnonzero(lyndon)
     lengths.setflags(write=False)
     index.setflags(write=False)

@@ -150,7 +150,7 @@ def pruned_search(family: MatrixFamily, tol: float,
     bound by the block-factorization argument.
 
     Each level expands the whole frontier in one batched matmul, raises
-    the lower bound by the level's spectral witness among its canonical
+    the lower bound by the level's spectral witness among its Lyndon
     words (under the tie rule above), then cuts every child whose
     averaged norm is <= lower + tol.  The search stops after the level
     whose node count reaches ``node_budget``, and is complete only if the
@@ -173,8 +173,8 @@ def pruned_search(family: MatrixFamily, tol: float,
     while prods.shape[0] and depth < max_depth:
         depth += 1
         prods = _kernels.children(prods, mats)
-        words, lengths, lyndon = _kernels.child_necklaces(
-            words, lengths, family.size, primitive=True)
+        words, lengths, lyndon = _kernels.child_necklaces(words, lengths,
+                                                          family.size)
         nodes += prods.shape[0]
         fro = _kernels.frobenius(prods)
         found = _kernels.level_witness(prods, fro, np.flatnonzero(lyndon),

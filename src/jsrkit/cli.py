@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--word", help="candidate word, e.g. 1,2")
     g.add_argument("--search", action="store_true",
-                   help="rank short words and try the top candidates")
+                   help="certify the depth-DEPTH bracket's witness word")
     p.add_argument("--vertex-budget", type=int, default=VERTEX_BUDGET)
 
     p = sub.add_parser("reduce", help="block triangularization into irreducible blocks")
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex-budget", type=int, default=VERTEX_BUDGET)
 
     p = sub.add_parser("corollaries",
-                       help="extremal Markov measure reports (finiteness search, stability scan)")
+                       help="extremal Markov measure reports (finiteness certificate, stability scan)")
     _add_common(p, "depth", "budget")
     p.add_argument("--markov", required=True)
 
@@ -164,12 +164,9 @@ def _cmd_bounds(args, family):
 
 
 def _cmd_finiteness(args, family):
-    if args.word:
-        cert = extremal.certify_finiteness(family, io.parse_word(args.word),
-                                           args.vertex_budget)
-    else:
-        cert = ergodic.search_finiteness(family, args.depth,
-                                         args.vertex_budget)
+    word = (io.parse_word(args.word) if args.word else
+            bounds_mod.bounds_bracket(family, args.depth).best_word)
+    cert = extremal.certify_finiteness(family, word, args.vertex_budget)
     lines = [f"word    {','.join(map(str, cert.word))}",
              f"value   {cert.value:.12g}",
              f"verdict {cert.verdict}" + (f"  ({cert.reason})" if cert.reason else "")]

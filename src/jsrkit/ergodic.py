@@ -21,7 +21,8 @@ from .extremal import ComplexFamilyError, FinitenessCertificate, certify_finiten
 from .matrix_core import (MatrixFamily, Word, averaged_spectral_value,
                           spectral_radius, word_product)
 from .symbolic import (MarkovMeasure, PeriodicMeasure, PeriodicSequence,
-                       ShiftMeasure, is_density_point, support_walk)
+                       ShiftMeasure, is_density_point, support_size,
+                       support_walk)
 
 
 @dataclass(frozen=True)
@@ -41,14 +42,17 @@ def lyapunov_exact_finite(family: MatrixFamily, mu: ShiftMeasure, n: int,
     """(1/n) integral of log ||S_{i_1}...S_{i_n}|| over the measure.
 
     Enumerates the measure's support words only, so sparse supports stay
-    cheap at large n.  These values are nonincreasing along n, 2n, 4n, ...
-    and converge to the Lyapunov exponent from above (subadditivity).
+    cheap at large n; a support larger than ``word_budget`` is counted,
+    not built, before the call raises.  These values are nonincreasing
+    along n, 2n, 4n, ... and converge to the Lyapunov exponent from above
+    (subadditivity).
     """
-    words, probs = support_walk(mu, n)
-    if len(words) > word_budget:
+    size = support_size(mu, n)
+    if size > word_budget:
         raise SupportTooLargeError(
-            f"{len(words)} support words at n={n} exceed the budget "
+            f"{size} support words at n={n} exceed the budget "
             f"{word_budget}; use lyapunov_monte_carlo")
+    words, probs = support_walk(mu, n)
     # a zero product (or family) has log norm -inf, and then so has the sum
     scale = family.scale or 1.0
     live = probs > 0.0
@@ -268,64 +272,25 @@ class CorollaryReport:
     stability_conclusion: str
 
 
-def _ranked_candidate_words(family: MatrixFamily, max_len: int,
-                            limit: int = 5, node_cap: int = 5000) -> list[Word]:
-    """Short primitive words ranked by averaged spectral value, used as
-    certification candidates.  A word stands for its rotations and its
-    powers w^j, which share its averaged value, so only the least rotation
-    of a word that is no power of a shorter one is kept.  The walk stops after
-    ``node_cap`` words, part way through a level if need be; values within
-    1e-12 tie, and ties go to the shorter, then the lexicographically
-    first, word."""
-    mats = _kernels.real_if_exact(family.normalized_mats())
-    prods = np.eye(family.dim, dtype=mats.dtype)[None]
-    words = np.zeros((1, 0), np.int64)
-    lengths = np.ones(1, np.int64)
-    found, values = [], []  # words padded with -1 to max_len, values
-    nodes = 0
-    for n in range(1, max_len + 1):
-        cap = node_cap - nodes
-        prods = _kernels.children(prods, mats)[:cap]
-        words, lengths, canon = _kernels.child_necklaces(
-            words, lengths, family.size, primitive=True)
-        words, lengths, canon = words[:cap], lengths[:cap], canon[:cap]
-        nodes += len(words)
-        found.append(np.pad(words[canon], ((0, 0), (0, max_len - n)),
-                            constant_values=-1))
-        values.append(_kernels.spectral_radii(prods[canon]) ** (1.0 / n))
-        if nodes == node_cap:
-            break
-    found, values = np.concatenate(found), np.concatenate(values)
-    tie = 1e-12 * max(float(values.max()), 1.0)
-    ranked = []
-    for _ in range(min(limit, values.size)):
-        i = _kernels.first_near_max(values, tie)
-        values[i] = -1.0
-        ranked.append(tuple(int(c) + 1 for c in found[i] if c >= 0))
-    return ranked
-
-
-def search_finiteness(family: MatrixFamily, depth: int,
-                      vertex_budget: int) -> FinitenessCertificate:
-    """Certify the ranked candidate words of length <= min(depth, 8) in
-    turn: the first certified attempt, or the last one if none is."""
-    for w in _ranked_candidate_words(family, min(depth, 8)):
-        cert = certify_finiteness(family, w, vertex_budget)
-        if cert.verdict == "certified":
-            break
-    return cert
-
-
 def corollary_reports(family: MatrixFamily, mu: MarkovMeasure,
                       depth: int = DEFAULT_DEPTH,
                       node_budget: int = DEFAULT_NODE_BUDGET,
                       vertex_budget: int = VERTEX_BUDGET) -> CorollaryReport:
-    """Extremality of a Markovian measure, the finiteness search that its
-    extremality licenses, and the periodically-switched-stability scan."""
+    """Extremality of a Markovian measure, the finiteness certificate that
+    its extremality licenses, and the periodically-switched-stability scan.
+
+    An extremal measure on a real family has its finiteness certified at
+    one word: the bracket's witness (``jsr_bracket.best_word``), whose
+    periodic measure attains the bracket's lower bound.  A certificate at
+    value r proves rho <= r (1 + MEMBERSHIP_TOL) and the witness proves
+    rho >= its own value, so a word whose value lies further than that
+    below the witness's cannot certify.
+    """
     verdict = extremality_verdict(family, mu, depth, node_budget=node_budget)
     cert: FinitenessCertificate | None = None
     if verdict.verdict == "extremal" and family.is_real:
-        cert = search_finiteness(family, depth, vertex_budget)
+        cert = certify_finiteness(family, verdict.jsr_bracket.best_word,
+                                  vertex_budget)
     scan_max = verdict.jsr_bracket.lower  # max averaged spectral value by construction
     upper = cert.value if cert is not None and cert.verdict == "certified" \
         else verdict.jsr_bracket.upper

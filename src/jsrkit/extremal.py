@@ -69,10 +69,17 @@ class NormCertificate:
             object.__setattr__(self, "transform", np.asarray(self.transform))
 
     def spans(self) -> bool:
-        if self.kind == "euclidean":
-            return True
-        sv = np.linalg.svd(self.vertices, compute_uv=False)
-        return sv.size >= self.dim and sv[self.dim - 1] > 1e-12 * sv[0]
+        return self.kind == "euclidean" or _span(self.vertices)[0] == self.dim
+
+
+def _span(vertices: np.ndarray) -> tuple[int, np.ndarray]:
+    """(rank, vh) of the (m, d) vertex rows: the number of singular values
+    above 1e-12 times the largest, and the d right singular vectors as
+    rows, those of the span first.  The m x m left factor is formed only
+    when m < d, where the rows of vh past m need it."""
+    _, sv, vh = np.linalg.svd(vertices,
+                              full_matrices=len(vertices) < vertices.shape[1])
+    return int(np.sum(sv > 1e-12 * sv[:1])), vh
 
 
 def euclidean_certificate(dim: int, transform=None) -> NormCertificate:
@@ -131,8 +138,8 @@ def _gauge(vertices: np.ndarray):
     # polytope norms need it
     from scipy.spatial import ConvexHull, QhullError
 
-    _, sv, vh = np.linalg.svd(vertices, full_matrices=False)
-    basis = vh[sv > 1e-12 * sv[0]].T  # rank as in NormCertificate.spans
+    rank, vh = _span(vertices)
+    basis = vh[:rank].T
     y = vertices @ basis
     if basis.shape[1] == 1:
         rows = np.array([[1.0], [-1.0]]) / np.max(np.abs(y))
@@ -323,9 +330,7 @@ def certify_finiteness(family: MatrixFamily, word: Word,
             # the later images are judged against the grown hull
             gauge = _gauge(np.array(vertices))
             gauges[k + 1:] = gauge(images[k + 1:])
-    # every right singular vector, without an m x m left factor
-    _, sv, vh = np.linalg.svd(vertices, full_matrices=len(vertices) < family.dim)
-    rank = int(np.sum(sv > 1e-12 * sv[0]))  # as in NormCertificate.spans
+    rank, vh = _span(np.array(vertices))
     if rank < family.dim:
         # the closed set spans an invariant subspace only: short vertices
         # along its orthogonal complement make a polytope that spans, and

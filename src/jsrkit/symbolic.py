@@ -231,6 +231,23 @@ def support_walk(mu: ShiftMeasure, n: int) -> tuple[np.ndarray, np.ndarray]:
     return words, probs
 
 
+def support_size(mu: ShiftMeasure, n: int) -> int:
+    """The number of words ``support_walk(mu, n)`` returns, without
+    building them.  A Markov measure pushes the indicator of p above
+    ZERO_PROB_TOL through the pattern of P above it, n - 1 times (counts in
+    float64 are exact below 2^53); a periodic orbit has at most its period
+    many, which its walk builds."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if isinstance(mu, PeriodicMeasure):
+        return len(support_walk(mu, n)[0])
+    count = (mu.p > ZERO_PROB_TOL).astype(np.float64)
+    pattern = (mu.P > ZERO_PROB_TOL).astype(np.float64)
+    for _ in range(n - 1):
+        count = count @ pattern
+    return int(count.sum())
+
+
 def support_words(mu: ShiftMeasure, n: int) -> set[Word]:
     """All words w of length n with positive cylinder probability,
     enumerated structurally by ``support_walk``."""

@@ -71,8 +71,8 @@ def reference_bracket(family, depth, budget):
             complete = False
             break
         prods = _kernels.children(prods, mats)
-        words, lengths, lyndon = _kernels.child_necklaces(
-            words, lengths, family.size, primitive=True)
+        words, lengths, lyndon = _kernels.child_necklaces(words, lengths,
+                                                          family.size)
         nodes += prods.shape[0]
         top = float(_kernels.two_norms(prods).max())
         tops.append(top ** (1.0 / n) if top > 0.0 else 0.0)
@@ -93,8 +93,8 @@ def reference_pruned(family, tol, budget, max_depth=64):
     while prods.shape[0] and depth < max_depth:
         depth += 1
         prods = _kernels.children(prods, mats)
-        words, lengths, lyndon = _kernels.child_necklaces(
-            words, lengths, family.size, primitive=True)
+        words, lengths, lyndon = _kernels.child_necklaces(words, lengths,
+                                                          family.size)
         nodes += prods.shape[0]
         best_val, best_word = _unscreened_rule(prods, words, lyndon, depth,
                                                best_val, best_word)

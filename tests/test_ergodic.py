@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from jsrkit import (MarkovMeasure, MatrixFamily, PeriodicMeasure,
-                    PeriodicSequence, corollary_reports, extremality_verdict,
+                    PeriodicSequence, certify_finiteness, corollary_reports,
+                    ergodic, extremality_verdict,
                     finiteness_to_measure, lyapunov_exact_finite,
                     lyapunov_monte_carlo, lyapunov_periodic,
                     measure_to_finiteness, operator_norm, word_product)
@@ -266,6 +267,38 @@ class TestCorollaries:
         assert report.scan_max == pytest.approx(0.5, abs=1e-12)
         assert report.upper_bound <= 0.5 + 1e-9
         assert "stable" in report.stability_conclusion
+
+    def test_extremal_measure_certifies_the_witness(self, uniform):
+        # [DERIVED] every product has top entry 1 and the other entry at
+        # most 1/2, so rho = 1, the uniform measure's exponent is log 1 and
+        # the bracket's witness (1,) closes a polytope around e1
+        fam = MatrixFamily.from_matrices([np.diag([1.0, 0.5]),
+                                          np.diag([1.0, 0.25])])
+        report = corollary_reports(fam, uniform, depth=6)
+        assert report.extremality.verdict == "extremal"
+        assert report.finiteness.word == report.extremality.jsr_bracket.best_word
+        assert report.finiteness.verdict == "certified"
+        assert report.upper_bound == report.finiteness.value == 1.0
+
+    def test_one_certification_when_the_witness_fails(self, monkeypatch):
+        # the measure on the fixed point 1, 1, ... of {R(1 rad), I/2} is
+        # extremal, and its witness (1,) has the complex leading eigenvalue
+        # e^i: no other word can certify, so none is tried
+        c, s = math.cos(1.0), math.sin(1.0)
+        fam = MatrixFamily.from_matrices([[[c, -s], [s, c]], np.eye(2) / 2])
+        fixed = MarkovMeasure(np.array([1.0, 0.0]), np.eye(2))
+        calls = []
+
+        def certify(family, word, vertex_budget):
+            calls.append(word)
+            return certify_finiteness(family, word, vertex_budget)
+
+        monkeypatch.setattr(ergodic, "certify_finiteness", certify)
+        report = corollary_reports(fam, fixed, depth=6, vertex_budget=30)
+        assert report.extremality.verdict == "extremal"
+        assert calls == [(1,)]
+        assert report.finiteness.verdict == "inconclusive"
+        assert "real leading eigenvalue" in report.finiteness.reason
 
     def test_golden_pair_not_applicable(self, golden_pair, uniform):
         report = corollary_reports(golden_pair, uniform, depth=8)

@@ -221,9 +221,11 @@ class TestCliFiniteness:
         assert "certified" in out
 
     def test_search(self, capsys):
+        # the depth-8 bracket's witness is (1, 2), at the golden ratio
         code = cli.main(["finiteness", data_path("golden_pair.json"), "--search"])
+        out = capsys.readouterr().out
         assert code == 0
-        assert "certified" in capsys.readouterr().out
+        assert "word    1,2\n" in out and "verdict certified" in out
 
     def test_inconclusive_exit_code(self, capsys):
         code = cli.main(["finiteness", data_path("golden_pair.json"),

@@ -465,14 +465,13 @@ class TestNormsAbove:
             np.testing.assert_array_equal(values, norms[keep])
 
 
-def _walk(k, n, primitive=False):
+def _walk(k, n):
     """Every word of length n as a letter array, with the step's lengths and
-    mask, walked from the root through ``child_necklaces``."""
+    Lyndon mask, walked from the root through ``child_necklaces``."""
     words, lengths = np.zeros((1, 0), np.int64), np.ones(1, np.int64)
     for _ in range(n):
-        words, lengths, mask = _kernels.child_necklaces(words, lengths, k,
-                                                        primitive)
-    return list(map(tuple, words.tolist())), lengths, mask
+        words, lengths, lyndon = _kernels.child_necklaces(words, lengths, k)
+    return list(map(tuple, words.tolist())), lengths, lyndon
 
 
 class TestCanonicalMask:
@@ -505,46 +504,43 @@ class TestCanonicalMask:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_rows_agree_with_rotations(self, k, n):
         # the step on letter arrays, over every word of each level
-        rows, lengths, canon = _walk(k, n)
+        rows, lengths, _ = _walk(k, n)
         assert rows == list(itertools.product(range(k), repeat=n))
         assert lengths.tolist() == [lyndon_prefix(w) for w in rows]
-        assert canon.tolist() == [is_canonical(w) for w in rows]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_primitive_rows_are_strictly_least(self, k, n):
         # strictly below each rotation: powers of shorter words drop out
-        rows, _, prim = _walk(k, n, primitive=True)
-        assert prim.tolist() == [is_primitive(w) for w in rows]
+        rows, _, lyndon = _walk(k, n)
+        assert lyndon.tolist() == [is_primitive(w) for w in rows]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pruned_frontiers_to_depth_40(self, seed):
         # a random part of each level is carried on with its lengths, past
         # the depth where base-k codes overflow int64: up to 40
-        # prenecklaces (each has a prenecklace child, so canonical words
+        # prenecklaces (each has a prenecklace child, so Lyndon words
         # stay in the frontier) and up to 20 other words
         rng = np.random.default_rng(seed)
         k = 2 + seed % 3
         words, lengths = np.zeros((1, 0), np.int64), np.ones(1, np.int64)
-        canonical = 0
+        found = 0
         for n in range(1, 43):
-            _, _, prim = _kernels.child_necklaces(words, lengths, k,
-                                                  primitive=True)
-            words, lengths, canon = _kernels.child_necklaces(words, lengths, k)
+            words, lengths, lyndon = _kernels.child_necklaces(words, lengths,
+                                                              k)
             rows = list(map(tuple, words.tolist()))
-            assert canon.tolist() == [is_canonical(w) for w in rows]
-            assert prim.tolist() == [is_primitive(w) for w in rows]
-            canonical += int(canon.sum())
+            assert lyndon.tolist() == [is_primitive(w) for w in rows]
+            found += int(lyndon.sum())
             keep = np.sort(np.concatenate([
                 rng.permutation(np.flatnonzero(lengths > 0))[:40],
                 rng.permutation(np.flatnonzero(lengths == 0))[:20]]))
             words, lengths = words[keep], lengths[keep]
-        assert canonical > 200
+        assert found > 200
 
     def test_rows_of_an_empty_frontier(self):
-        words, lengths, canon = _kernels.child_necklaces(
+        words, lengths, lyndon = _kernels.child_necklaces(
             np.zeros((0, 4), np.int64), np.zeros(0, np.int64), 3)
-        assert words.shape == (0, 5) and lengths.size == canon.size == 0
+        assert words.shape == (0, 5) and lengths.size == lyndon.size == 0
 
 
 def _direct_log_norm(mats, path):

@@ -10,6 +10,7 @@ by rounding only.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from jsrkit import (MarkovMeasure, MatrixFamily, PeriodicMeasure,
                     PeriodicSequence, cylinder_probability,
                     lyapunov_exact_finite, operator_norm, pruned_search,
                     spectral_radius, support_words, word_product)
-from jsrkit.ergodic import SupportTooLargeError, _ranked_candidate_words
+from jsrkit.ergodic import SupportTooLargeError
 from jsrkit.symbolic import support_walk
 
 from conftest import random_family
@@ -28,11 +29,6 @@ REL = 1e-12
 
 def is_canonical(word):
     return all(word <= word[s:] + word[:s] for s in range(1, len(word)))
-
-
-def is_primitive(word):
-    """Strictly below every rotation: canonical and no power of a shorter word."""
-    return all(word < word[s:] + word[:s] for s in range(1, len(word)))
 
 
 def first_near_max(scored, tie):
@@ -264,70 +260,16 @@ class TestLyapunovExactFiniteOracle:
         with pytest.raises(SupportTooLargeError):
             lyapunov_exact_finite(fam, mu, n, word_budget=count - 1)
 
-
-def literal_ranked(fam, max_len, limit=5, node_cap=5000):
-    """Tuple-by-tuple walk capped at node_cap words, then a greedy pick:
-    the first remaining word within the tie of the best remaining value."""
-    scored, words, nodes = [], [()], 0
-    for _ in range(max_len):
-        nxt = []
-        for w in words:
-            for c in range(1, fam.size + 1):
-                if nodes < node_cap:
-                    nodes += 1
-                    nxt.append(w + (c,))
-        words = nxt
-        scored += [(spectral_radius(word_product(fam, w)) ** (1.0 / len(w)), w)
-                   for w in words if is_primitive(w)]
-    scale = fam.scale
-    tie = scale * 1e-12 * max(max(v for v, _ in scored) / scale, 1.0)
-    ranked = []
-    for _ in range(min(limit, len(scored))):
-        pick = first_near_max(scored, tie)
-        ranked.append(pick[1])
-        scored.remove(pick)
-    return ranked
-
-
-class TestRankedCandidatesOracle:
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_matches_literal_walk(self, seed, k):
-        fam = random_family(seed, k=k, d=3)
-        assert _ranked_candidate_words(fam, 6) == literal_ranked(fam, 6)
-
-    def test_partial_last_level_at_node_cap(self):
-        # 3 + 9 + ... + 2187 = 3279 words fill levels 1..7; the 5000-node
-        # cap keeps the first 1721 of the 6561 words of level 8
-        fam = random_family(12, k=3, d=3)
-        got = _ranked_candidate_words(fam, 8, limit=40)
-        assert got == literal_ranked(fam, 8, limit=40)
-        assert any(len(w) == 8 for w in got)
-
-    @pytest.mark.parametrize("cap", [6, 7, 14])
-    def test_small_caps(self, cap):
-        fam = random_family(2, k=2, d=2)
-        got = _ranked_candidate_words(fam, 5, limit=50, node_cap=cap)
-        assert got == literal_ranked(fam, 5, limit=50, node_cap=cap)
-
-    def test_ties_go_to_shorter_then_first(self, golden_pair):
-        # (1,1,2) ties with its transpose word (1,2,2); rounding does not
-        # reorder them
-        got = _ranked_candidate_words(golden_pair, 6, limit=10)
-        assert got == literal_ranked(golden_pair, 6, limit=10)
-        assert got[:3] == [(1, 2), (1, 1, 2, 1, 2), (1, 2, 1, 2, 2)]
-        assert got.index((1, 2, 2)) == got.index((1, 1, 2)) + 1
-
-    def test_zero_family_keeps_walk_order(self):
-        fam = MatrixFamily(np.zeros((2, 2, 2)))
-        assert _ranked_candidate_words(fam, 3) == [(1,), (2,), (1, 2),
-                                                   (1, 1, 2), (1, 2, 2)]
-
-    def test_powers_are_one_candidate(self):
-        # S_2 leads, so every power (2,)^j ties with (2,); the list holds
-        # five distinct primitive words, not (2,), (2,2), ..., (2,2,2,2,2)
-        fam = random_family(0, k=2, d=3)
-        got = _ranked_candidate_words(fam, 8)
-        assert got == literal_ranked(fam, 8)
-        assert got[0] == (2,) and (2, 2) not in got
-        assert len(set(got)) == 5 and all(is_primitive(w) for w in got)
+    def test_budget_is_checked_before_the_walk(self):
+        # 3^12 = 531,441 support words, 51 MB as a letter array: the count
+        # must stop the call before any of them is built
+        mu = MarkovMeasure(np.full(3, 1 / 3), np.full((3, 3), 1 / 3))
+        fam = random_family(0, k=3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SupportTooLargeError, match="531441"):
+                lyapunov_exact_finite(fam, mu, 12, word_budget=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
