@@ -3,7 +3,7 @@ extremal ergodic measure verification for finite families of complex
 matrices."""
 
 from .bounds import (BoundsBracket, berger_wang_report, bounds_bracket,
-                     lower_bound, pruned_search, upper_bound)
+                     pruned_search)
 from .ergodic import (CorollaryReport, ExtremalityVerdict, LyapunovEstimate,
                       MainTheoremReport, corollary_reports,
                       extremality_verdict, finiteness_to_measure,

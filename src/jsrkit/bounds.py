@@ -53,11 +53,7 @@ class BoundsBracket:
 
 
 class BudgetExceededError(RuntimeError):
-    """Node budget exhausted before the search finished; carries the partial result."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Node budget exhausted before a report that needs every level."""
 
 
 def _scan(family: MatrixFamily, depth: int,
@@ -75,33 +71,6 @@ def _scan(family: MatrixFamily, depth: int,
                    max_norm=res.max_norm * scale,
                    best_val=max(res.best_val, 0.0) * scale,
                    best_word=res.best_word or (1,))
-
-
-def lower_bound(family: MatrixFamily, depth: int,
-                node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[float, Word]:
-    """max over words of length 1..depth of rho(P(w))^(1/|w|) and its witness.
-
-    Ties break toward the shorter word, then the lexicographically least;
-    only the least rotation of each word is valued (spectral radius is
-    invariant under rotation of the word).
-    """
-    res = _scan(family, depth, node_budget)
-    if not res.complete:
-        raise BudgetExceededError(
-            f"node budget {node_budget} exhausted at {res.nodes} nodes",
-            partial=(float(np.max(res.max_rho)), res.best_word))
-    return res.best_val, res.best_word
-
-
-def upper_bound(family: MatrixFamily, depth: int,
-                node_budget: int = DEFAULT_NODE_BUDGET) -> float:
-    """min over n = 1..depth of (max over |w| = n of ||P(w)||^(1/n))."""
-    b = bounds_bracket(family, depth, node_budget)
-    if not b.complete:
-        raise BudgetExceededError(
-            f"node budget {node_budget} exhausted at {b.nodes_visited} nodes",
-            partial=b.upper)
-    return b.upper
 
 
 def bounds_bracket(family: MatrixFamily, depth: int,

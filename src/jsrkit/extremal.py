@@ -90,7 +90,7 @@ def euclidean_certificate(dim: int, transform=None) -> NormCertificate:
 def _realify(x) -> np.ndarray:
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        if np.max(np.abs(x.imag), initial=0.0) > 1e-9 * np.max(np.abs(x)):
+        if np.any(x.imag):
             raise ComplexFamilyError("polytope gauge is defined for real vectors")
         x = x.real
     return np.asarray(x, dtype=np.float64)

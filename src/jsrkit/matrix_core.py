@@ -3,7 +3,9 @@
 Everything downstream (bounds, reduction, ergodic averages) is built on the
 four operations here: spectral radius, operator norm, word products, and
 their nth-root averaged values.  Matrices are always stored as complex128;
-real input is promoted so there is a single code path.
+real input is promoted so there is a single code path.  A family is real
+when every imaginary part is exactly 0, the one realness rule of the
+package.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class MatrixFamily:
 
     @property
     def is_real(self) -> bool:
-        return bool(np.max(np.abs(self.mats.imag), initial=0.0) <= 1e-14 * self.scale)
+        return not np.any(self.mats.imag)
 
     @functools.cached_property
     def scale(self) -> float:

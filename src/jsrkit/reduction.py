@@ -1,11 +1,13 @@
 """Irreducibility, common invariant subspaces, and block triangularization.
 
-A family is irreducible exactly when the unital algebra it generates is
-the full d x d matrix algebra, so irreducibility testing is a span-closure
-computation.  Reducible families are repeatedly split along invariant
-subspaces into a lower-block-triangular form whose diagonal blocks are
-irreducible; the block with the largest joint spectral radius carries the
-whole family's growth rate.
+A complex family is irreducible exactly when the unital algebra it
+generates is the full d x d matrix algebra, a span-closure computation.  A
+real family is reduced over the reals, all its extremal norm needs: its
+subspaces are real, and a closure below d^2 leaves it whole only with a
+proof.  Reducible families are repeatedly split along invariant subspaces
+into a lower-block-triangular form whose diagonal blocks are irreducible;
+the block with the largest joint spectral radius carries the whole
+family's growth rate.
 
 Subspace invariance uses the row-vector convention (x maps to x S_k);
 transpose the family for the column convention.
@@ -116,9 +118,10 @@ def algebra_dimension(family: MatrixFamily) -> int:
 
 
 def is_irreducible(family: MatrixFamily) -> bool:
-    """No nontrivial common invariant subspace; equivalently the generated
-    algebra has dimension d^2."""
-    return algebra_dimension(family) == family.dim ** 2
+    """No nontrivial common invariant subspace: over the reals for a real
+    family, over the complex numbers otherwise.  The decision is
+    ``block_triangularize``'s, so the two always agree."""
+    return _invariant_subspace(family, _certain_closure(family), seed=0) is None
 
 
 def _invariance_residual(basis: np.ndarray, family: MatrixFamily) -> float:
@@ -135,61 +138,114 @@ def find_invariant_subspace(family: MatrixFamily, seed: int = 0,
 
     Probes left eigenvectors of seeded random algebra elements and spans
     their algebra orbits; every candidate is post-verified for invariance
-    before being returned.  Returns None only when the family is
-    (numerically) irreducible.
+    before being returned.  For a real family W is real and None means
+    irreducible over the reals; for a complex family None means
+    irreducible over the complex numbers.
     """
-    alg = algebra_closure(family)
+    return _invariant_subspace(family, algebra_closure(family), seed, attempts)
+
+
+def _invariant_subspace(family: MatrixFamily, alg: AlgebraResult, seed: int,
+                        attempts: int = 8) -> np.ndarray | None:
+    # the one decision of is_irreducible, find_invariant_subspace and
+    # block_triangularize: below d^2, a subspace or a proof over the reals
     if alg.dimension == family.dim ** 2:
         return None
-    return _split(family, alg, seed, attempts)
+    w = _split(family, alg, seed, attempts)
+    if w is not None:
+        return _refine(w, family)
+    if not (family.is_real and _irreducible_over_reals(family, alg)):
+        raise ToleranceConflictError(
+            "algebra closure says reducible but no invariant subspace verified; "
+            "the family sits at the rank tolerance boundary")
+    return None
 
 
 def _split(family: MatrixFamily, alg: AlgebraResult, seed: int,
-           attempts: int = 8) -> np.ndarray:
-    # find_invariant_subspace, given a closure that is not the full algebra
+           attempts: int = 8) -> np.ndarray | None:
+    # the first verified proper invariant subspace the probes find, or None;
+    # for a real family the real span of an orbit and its conjugate
     d = family.dim
-    rng = np.random.default_rng(seed)
-
-    def try_vector(v: np.ndarray) -> np.ndarray | None:
-        orbit = np.concatenate([v[None], v @ alg.basis])
-        norm = np.linalg.norm(orbit)
-        if norm <= 1e-300:
-            return None
-        _, sv, vh = np.linalg.svd(orbit / norm)
-        rank = int(np.sum(sv > RANK_TOL * sv[0]))
-        if not 1 <= rank < d:
-            return None
-        basis = vh[:rank]
-        if _invariance_residual(basis, family) <= INVARIANCE_TOL:
-            return basis
-        return None
-
-    # per probe, the real and then the imaginary parts of its coefficients;
-    # the sum adds the terms in basis order, one at a time (a BLAS
-    # contraction rounds differently, and the transform block_triangularize
-    # builds from the subspace is not continuous in it)
-    z = rng.standard_normal((attempts, 2, alg.dimension))
-    coeffs = z[:, 0] + 1j * z[:, 1]
-    probes = np.concatenate([(coeffs[:, :, None, None] * alg.basis).sum(axis=1),
-                             alg.basis, family.mats])
+    real = family.is_real
+    basis, mats = ((alg.basis.real, family.mats.real) if real
+                   else (alg.basis, family.mats))
+    # per probe, the real and then the imaginary parts of its coefficients
+    # (the real parts alone for a real family); the sum adds the terms in
+    # basis order, one at a time (a BLAS contraction rounds differently,
+    # and the transform block_triangularize builds from the subspace is
+    # not continuous in it)
+    z = np.random.default_rng(seed).standard_normal((attempts, 2, alg.dimension))
+    coeffs = z[:, 0] if real else z[:, 0] + 1j * z[:, 1]
+    probes = np.concatenate([(coeffs[:, :, None, None] * basis).sum(axis=1),
+                             basis, mats])
     for r in probes:
         try:
             eigvecs = np.linalg.eig(r.T)[1]
         except np.linalg.LinAlgError:
             continue
-        for j in range(d):
-            found = try_vector(eigvecs[:, j])
-            if found is not None:
-                return found
-    raise ToleranceConflictError(
-        "algebra closure says reducible but no invariant subspace verified; "
-        "the family sits at the rank tolerance boundary")
+        for v in eigvecs.T:
+            orbit = np.concatenate([v[None], v @ basis])
+            if real:
+                orbit = np.concatenate([orbit.real, orbit.imag])
+            norm = np.linalg.norm(orbit)
+            if norm <= 1e-300:
+                continue
+            _, sv, vh = np.linalg.svd(orbit / norm)
+            w = vh[:int(np.sum(sv > RANK_TOL * sv[0]))]
+            if 1 <= len(w) < d and _invariance_residual(w, family) <= INVARIANCE_TOL:
+                return w
+    return None
+
+
+def _refine(w: np.ndarray, family: MatrixFamily) -> np.ndarray:
+    """One Newton step from a verified subspace W toward the invariant one
+    (Stewart): with each S_k = [[A11, A12], [A21, A22]] in the basis
+    [W; W_perp], the rows of [I, X] with A11 X - X A22 = A12 for every k,
+    in least squares, cancel the leak A12 to first order.  An orbit of
+    nearly parallel rows leaves a leak near 1e-12, inside the next
+    closure's rank band.  Kept only if it lowers the invariance residual."""
+    r, d = w.shape
+    p = np.linalg.svd(w)[2]
+    t = p @ _kernels.real_if_exact(family.mats) @ p.conj().T
+    # row-major vec(A11 X - X A22), rows (k, i, j) and columns (i', j')
+    op = (t[:, :r, None, :r, None] * np.eye(d - r)[:, None, :]
+          - np.eye(r)[:, None, :, None] * t[:, None, r:, None, r:].swapaxes(2, 4))
+    x = np.linalg.lstsq(op.reshape(-1, r * (d - r)), t[:, :r, r:].reshape(-1),
+                        rcond=None)[0]
+    step = np.linalg.svd(p[:r] + x.reshape(r, d - r) @ p[r:], full_matrices=False)[2]
+    return step if _invariance_residual(step, family) < _invariance_residual(w, family) else w
+
+
+def _irreducible_over_reals(family: MatrixFamily, alg: AlgebraResult) -> bool:
+    """Proof that a real family is irreducible over the reals: its real
+    commutant C (X S_k = S_k X for every k) is a division algebra, as
+    tr(XY) is negative definite on its trace-free part (so C has no nonzero
+    nilpotent and no idempotent but 0 and I), and dim(A) dim(C) = d^2 makes
+    A all of End_C(R^d) (double commutant theorem).  A singular value
+    within a factor 100 of RANK_TOL, either way, proves nothing."""
+    d = family.dim
+    eye = np.eye(d)
+    # X -> X S - S X on row-major vec(X)
+    op = np.concatenate([np.kron(eye, s.T) - np.kron(s, eye)
+                         for s in family.normalized_mats().real])
+    _, sv, vh = np.linalg.svd(op)
+    if np.any((RANK_TOL * 1e-2 < sv) & (sv < RANK_TOL * 1e2)):
+        return False
+    comm = vh[int(np.sum(sv > RANK_TOL)):].reshape(-1, d, d)
+    if len(comm) not in (1, 2, 4) or alg.dimension * len(comm) != d * d:
+        return False
+    # on an orthonormal basis of C = R I + (trace-free part), the form is
+    # positive on I alone
+    form = np.linalg.eigvalsh(np.einsum("aij,bji->ab", comm, comm))
+    return len(comm) == 1 or form[-2] < -RANK_TOL * 1e2
 
 
 @dataclass(frozen=True)
 class ReductionResult:
     """Unitary similarity into lower-block-triangular form with irreducible
-    diagonal blocks: transform^H S_k transform reproduces the layout."""
+    diagonal blocks: transform^H S_k transform reproduces the layout.  A
+    real family gets a real orthogonal transform and real blocks,
+    irreducible over the reals; a complex one, blocks irreducible over C."""
 
     family: MatrixFamily = field(metadata={"report": False})  # the input
     transform: np.ndarray = field(repr=False)  # unitary P, P^{-1} = P^H
@@ -220,16 +276,17 @@ class ReductionResult:
 
 def block_triangularize(family: MatrixFamily, seed: int = 0) -> ReductionResult:
     """Recursively split along invariant subspaces until every diagonal
-    block is irreducible.  The assembled transform is unitary (nested
-    orthonormal completions), so it is as well-conditioned as possible.
-    One algebra closure per split decides irreducibility (raising
-    ToleranceConflictError when uncertain) and seeds the subspace search."""
+    block is irreducible, over the reals for a real family (imaginary
+    parts exactly 0, stored complex).  The assembled transform is unitary
+    (nested orthonormal completions), so it is as well-conditioned as
+    possible.  One algebra closure per split decides irreducibility
+    (raising ToleranceConflictError when uncertain) and seeds the subspace
+    search."""
     d = family.dim
-    alg = None if d == 1 else _certain_closure(family)
-    if alg is None or alg.dimension == d * d:  # irreducible
+    w = None if d == 1 else _invariant_subspace(family, _certain_closure(family), seed)
+    if w is None:  # irreducible
         return ReductionResult(family, np.eye(d, dtype=np.complex128),
                                (d,), (family,))
-    w = _split(family, alg, seed)
     m = w.shape[0]
     _, _, vh = np.linalg.svd(w)
     p_inv = vh  # first m rows span the invariant subspace
@@ -299,19 +356,6 @@ class ExtremalSubspace:
 _RHO_TIE = 1e-12
 
 
-def _real_rows(basis: np.ndarray) -> np.ndarray:
-    """A real orthonormal row basis of span(basis) when that span is its
-    own conjugate, as a real family's invariant subspaces often are, so
-    that the restriction of a real family stays real; else the basis as
-    given.  The real and imaginary parts of the rows lie in such a span,
-    and their rank tells."""
-    m = basis.shape[0]
-    _, sv, vh = np.linalg.svd(np.vstack([basis.real, basis.imag]))
-    if sv.size > m and sv[m] > RANK_TOL * sv[0]:
-        return basis
-    return vh[:m]
-
-
 def _certificate(family: MatrixFamily, rho: float, word: Word,
                  vertex_budget: int) -> "extremal.NormCertificate | None":
     """A verified norm whose largest induced generator norm is rho, or
@@ -346,8 +390,9 @@ def extremal_subspace(family: MatrixFamily, depth: int,
     estimate (a block below it cannot prove equality) and whose
     restriction to blocks 1..j carries a certificate, with the block
     bracket's best word for the polytope.  E is spanned by rows of the
-    (unitary) transform, in a real basis when it has one.  Without a
-    verified certificate the answer is "undetermined", never a guess.
+    (unitary) transform, real ones for a real family, so a real family's
+    restriction is real too.  Without a verified certificate the answer
+    is "undetermined", never a guess.
     ``vertex_budget`` caps each polytope closure.
     """
     bracket = bounds_bracket(family, depth, node_budget)
@@ -375,7 +420,7 @@ def extremal_subspace(family: MatrixFamily, depth: int,
     starts = np.cumsum((0,) + reduction.block_sizes)
     for j in report.certain:
         m = int(starts[j])
-        basis = _real_rows(reduction.transform.conj().T[:m])
+        basis = reduction.transform.conj().T[:m]
         restricted = MatrixFamily(basis @ family.mats @ basis.conj().T)
         cert = _certificate(restricted, rho_est,
                             report.block_brackets[j - 1].best_word, vertex_budget)

@@ -20,7 +20,7 @@ from jsrkit import (MarkovMeasure, MatrixFamily, PeriodicMeasure,
                     cylinder_probability, euclidean_certificate,
                     extremal_subspace, finiteness_to_measure, io,
                     is_irreducible, lyapunov_exact_finite,
-                    lyapunov_monte_carlo, measure_to_finiteness, upper_bound)
+                    lyapunov_monte_carlo, measure_to_finiteness)
 
 from conftest import PHI
 from test_reduction import conjugated_block_family
@@ -176,7 +176,9 @@ def test_criterion_06_kingman_monotonicity():
         for a, b in zip(vals, vals[1:]):
             worst_mono = max(worst_mono, b - a)
         for n, v in zip((1, 2, 4, 8), vals):
-            worst_dom = max(worst_dom, v - math.log(upper_bound(fam, n)))
+            b = bounds_bracket(fam, n)
+            assert b.complete
+            worst_dom = max(worst_dom, v - math.log(b.upper))
     ok = worst_mono <= 1e-12 and worst_dom <= 1e-12
     report("06 Kingman monotonicity (20 seeded families)",
            ok, f"worst increase {worst_mono:.2e}, "

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from jsrkit import (MatrixFamily, _kernels, averaged_norm_value,
                     averaged_spectral_value, berger_wang_report,
-                    bounds_bracket, lower_bound, pruned_search, upper_bound)
+                    bounds_bracket, pruned_search)
 from jsrkit.bounds import BoundsBracket, BudgetExceededError
 
 from conftest import PHI, random_family
@@ -173,22 +173,24 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(6))
     def test_lower_matches_enumeration(self, seed):
         fam = random_family(seed)
-        val, word = lower_bound(fam, 4)
-        assert val == pytest.approx(brute_lower(fam, 4), rel=1e-10, abs=1e-12)
-        assert val == pytest.approx(averaged_spectral_value(fam, word), rel=1e-10)
+        b = bounds_bracket(fam, 4)
+        assert b.complete
+        assert b.lower == pytest.approx(brute_lower(fam, 4), rel=1e-10, abs=1e-12)
+        assert b.lower == pytest.approx(averaged_spectral_value(fam, b.best_word),
+                                        rel=1e-10)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_upper_matches_enumeration(self, seed):
         fam = random_family(seed)
-        assert upper_bound(fam, 4) == pytest.approx(brute_upper(fam, 4),
-                                                    rel=1e-10, abs=1e-12)
+        assert bounds_bracket(fam, 4).upper == pytest.approx(
+            brute_upper(fam, 4), rel=1e-10, abs=1e-12)
 
     def test_dedup_does_not_change_values(self):
         # the scan values the least rotation of each word only; the
         # enumeration values every word
         fam = random_family(3)
-        assert lower_bound(fam, 5)[0] == pytest.approx(brute_lower(fam, 5),
-                                                       rel=1e-12)
+        assert bounds_bracket(fam, 5).lower == pytest.approx(
+            brute_lower(fam, 5), rel=1e-12)
 
 
 class TestBracketProperties:
@@ -250,8 +252,7 @@ class TestBracketProperties:
         # both generators are the same diagonal, so every word ties at 2;
         # the witness must be a length-1 word
         fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0]), np.diag([2.0, 1.0])])
-        _, word = lower_bound(fam, 4)
-        assert word == (1,)
+        assert bounds_bracket(fam, 4).best_word == (1,)
 
     def test_powers_are_not_valued(self):
         # rho = 1 + 3e-26, but eigvals rounds rho(A^3)^(1/3) up to
@@ -271,15 +272,14 @@ class TestBracketProperties:
 
 
 class TestBudget:
-    def test_lower_raises_with_partial(self, golden_pair):
-        with pytest.raises(BudgetExceededError) as exc:
-            lower_bound(golden_pair, 10, node_budget=20)
-        partial_val, partial_word = exc.value.partial
-        assert 0.0 < partial_val <= PHI + 1e-9
-
-    def test_upper_raises(self, golden_pair):
-        with pytest.raises(BudgetExceededError):
-            upper_bound(golden_pair, 10, node_budget=20)
+    def test_cut_bracket_is_flagged(self, golden_pair):
+        # a cut scan answers with a bracket flagged incomplete, not a
+        # raise: its lower is attained by its word, and both ends stay sound
+        b = bounds_bracket(golden_pair, 10, node_budget=20)
+        assert not b.complete
+        assert 0.0 < b.lower <= PHI + 1e-9 <= b.upper + 2e-9
+        assert b.lower == pytest.approx(
+            averaged_spectral_value(golden_pair, b.best_word), rel=1e-12)
 
     def test_bracket_falls_back_soundly(self, golden_pair):
         # a cut scan keeps every level that fit whole in the budget: its
@@ -302,9 +302,9 @@ class TestBudget:
                 else:
                     assert b.upper == fam.scale
                 assert b.lower <= b.upper + 1e-12
-                with pytest.raises(BudgetExceededError) as exc:
-                    upper_bound(fam, 10, node_budget=budget)
-                assert exc.value.partial == b.upper
+                # the per-depth report needs every level, so it raises
+                with pytest.raises(BudgetExceededError):
+                    berger_wang_report(fam, 10, node_budget=budget)
 
     def test_report_raises(self, golden_pair):
         with pytest.raises(BudgetExceededError):

@@ -72,6 +72,13 @@ class TestNormValue:
         with pytest.raises(ComplexFamilyError):
             norm_value(CROSS, np.array([1.0 + 1.0j, 0.0]))
 
+    def test_rounding_level_imaginary_vector_rejected(self):
+        # the gauge takes real vectors only: every imaginary part exactly 0
+        with pytest.raises(ComplexFamilyError):
+            norm_value(CROSS, np.array([1.0 + 1e-18j, 0.0]))
+        assert norm_value(CROSS, np.array([1.0 + 0j, 0.0])) == norm_value(
+            CROSS, np.array([1.0, 0.0]))
+
     @pytest.mark.parametrize("scale", [1.0, 1e-14])
     def test_complex_vector_rejected_at_any_scale(self, scale):
         # an imaginary part 1e-6 of the vector's size is not rounding
@@ -350,13 +357,22 @@ class TestCertifyFiniteness:
 
     @pytest.mark.parametrize("scale", [1.0, 1e-16])
     def test_small_complex_family_rejected(self, scale):
-        # the imaginary part counts against the family's scale, not 1:
+        # a nonzero imaginary part makes the family complex at every scale:
         # a real polytope cannot certify the value 1e-16 when rho = 2e-16
         fam = MatrixFamily(np.array([[[1, 0], [0, 0]], [[0, 0], [0, 2j]]])
                            * scale)
         assert not fam.is_real
         with pytest.raises(ComplexFamilyError):
             certify_finiteness(fam, (1,), 30)
+
+    def test_rounding_level_imaginary_part_is_complex(self, golden_pair):
+        # imaginary parts of 1e-18 of the scale are not rounded away: a
+        # family is real only when every imaginary part is exactly 0
+        fam = MatrixFamily(golden_pair.mats + 1e-18j * golden_pair.scale
+                           * np.eye(2))
+        assert not fam.is_real
+        with pytest.raises(ComplexFamilyError):
+            certify_finiteness(fam, (1, 2), 30)
 
     def test_empty_word_rejected(self, golden_pair):
         with pytest.raises(ValueError):

@@ -364,6 +364,16 @@ class TestCliCorollaries:
         assert code == 0
         assert "scan max" in out
 
+    def test_orbit_measure_certifies_the_witness(self, capsys):
+        # the measure on the orbit of 1, 2 is extremal for the golden pair,
+        # so the command reaches the certification of the word 1, 2
+        code = cli.main(["corollaries", data_path("golden_pair.json"),
+                         "--markov", data_path("orbit12_markov.json")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "extremality: extremal" in out
+        assert "finiteness: certified via word 1,2" in out
+
 
 class TestCliSweep:
     def test_rows_and_csv(self, tmp_path, capsys):

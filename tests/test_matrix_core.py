@@ -119,6 +119,12 @@ class TestMatrixFamily:
         fam = MatrixFamily.from_matrices([[[1j, 0], [0, 1]]])
         assert not fam.is_real
 
+    def test_realness_is_exact(self, golden_pair):
+        # one rule: real when every imaginary part is exactly 0, at any scale
+        assert golden_pair.scaled(1e-300).is_real
+        assert MatrixFamily(golden_pair.mats * (1 - 0j)).is_real
+        assert not MatrixFamily(golden_pair.mats + 1e-300j).is_real
+
     def test_transposed(self, golden_pair):
         t = golden_pair.transposed()
         assert np.allclose(t.mats[0], golden_pair.mats[0].T)

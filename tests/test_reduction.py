@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from jsrkit import (MatrixFamily, algebra_dimension, block_triangularize,
-                    bounds_bracket, check_extremal_norm, dominant_blocks,
-                    extremal_subspace, find_invariant_subspace, is_irreducible)
+                    bounds_bracket, certify_finiteness, check_extremal_norm,
+                    dominant_blocks, extremal_subspace, find_invariant_subspace,
+                    is_irreducible)
 from jsrkit import reduction
 from jsrkit.config import INVARIANCE_TOL, RANK_TOL
 from jsrkit.reduction import (ToleranceConflictError, _invariance_residual,
@@ -186,18 +188,25 @@ class TestAlgebra:
 
 def sequential_split(family, basis, seed, attempts=8):
     """The subspace search one probe and one orbit product at a time: the
-    first verified subspace, or None."""
+    first verified subspace, or None.  A real family takes real probe
+    coefficients (the first of each draw's two rows) and spans the real
+    and imaginary parts of each orbit, so its subspace is real."""
     d = family.dim
+    real = not np.any(family.mats.imag)
+    mats = list(family.mats.real if real else family.mats)
+    basis = [b.real if real else b for b in basis]
     rng = np.random.default_rng(seed)
     probes = []
-    for _ in range(attempts):
-        coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    for z in rng.standard_normal((attempts, 2, len(basis))):
+        coeffs = z[0] if real else z[0] + 1j * z[1]
         probes.append(sum(c * b for c, b in zip(coeffs, basis)))
-    for r in probes + list(basis) + list(family.mats):
+    for r in probes + basis + mats:
         eigvecs = np.linalg.eig(r.T)[1]
         for j in range(d):
             v = eigvecs[:, j]
             orbit = np.stack([v] + [v @ b for b in basis])
+            if real:
+                orbit = np.concatenate([orbit.real, orbit.imag])
             _, sv, vh = np.linalg.svd(orbit / np.linalg.norm(orbit))
             rank = int(np.sum(sv > RANK_TOL * sv[0]))
             if 1 <= rank < d and _invariance_residual(vh[:rank], family) <= INVARIANCE_TOL:
@@ -254,6 +263,114 @@ class TestInvariantSubspace:
         # rows are orthonormal
         gram = w @ w.conj().T
         assert np.allclose(gram, np.eye(w.shape[0]), atol=1e-10)
+
+
+def rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def realified(z):
+    """The real 2d x 2d matrix of z acting on C^d = R^d + i R^d."""
+    return np.block([[z.real, z.imag], [-z.imag, z.real]])
+
+
+def hidden_sum(top, bottom, seed=1):
+    """The block-diagonal family top + bottom behind a random orthogonal Q."""
+    k, m = top.shape[:2]
+    mats = np.zeros((k, 2 * m, 2 * m))
+    mats[:, :m, :m], mats[:, m:, m:] = top, bottom
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((2 * m, 2 * m)))[0]
+    return q.T @ mats @ q
+
+
+GOLDEN = np.array([[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
+# multiplication by i and by j on the quaternions, basis 1, i, j, k: the
+# row of q maps to the row of q i (q j)
+QUATERNION_I = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
+QUATERNION_J = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                         [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
+_Z = np.random.default_rng(0).standard_normal((2, 2, 2, 2))
+# irreducible over R, reducible over C: the algebra is C, H or M_2(C)
+REAL_IRREDUCIBLE = {
+    "rotation": rotation(0.3)[None],
+    "quaternion-i-j": np.stack([QUATERNION_I, QUATERNION_J]),
+    "realified-complex-pair": np.stack([realified(z) for z in _Z[0] + 1j * _Z[1]]),
+}
+# two irreducible real planes behind a rotation of R^4
+REAL_LOOKALIKES = {
+    "golden+golden": hidden_sum(GOLDEN, GOLDEN),
+    "R0.3+R0.3": hidden_sum(rotation(0.3)[None], rotation(0.3)[None]),
+    "R0.3+1.2R0.9": hidden_sum(rotation(0.3)[None], 1.2 * rotation(0.9)[None]),
+}
+
+
+def real_orbit_gap(mats, starts=12, seed=0):
+    """Brute-force real orbit search: the least d-th singular value, over
+    real x, of x's orbit under the words up to the length where their span
+    stops growing, relative to the largest, by Nelder-Mead from seeded
+    starts.  0 when some real orbit is a proper subspace, which is when
+    the family is reducible over R."""
+    d = mats.shape[1]
+    words, level = [np.eye(d)], [np.eye(d)]
+    while True:
+        level = [w @ s for w in level for s in mats]
+        grown = np.linalg.matrix_rank(np.reshape(words + level, (-1, d * d)), 1e-9)
+        if grown == np.linalg.matrix_rank(np.reshape(words, (-1, d * d)), 1e-9):
+            break
+        words += level
+    words = np.stack(words)
+
+    def gap(x):
+        sv = np.linalg.svd(x @ words, compute_uv=False)
+        return sv[d - 1] / sv[0] if len(sv) == d else 0.0
+    rng = np.random.default_rng(seed)
+    return min(minimize(gap, rng.standard_normal(d), method="Nelder-Mead",
+                        options={"xatol": 1e-12, "fatol": 1e-14}).fun
+               for _ in range(starts))
+
+
+class TestRealReduction:
+    @pytest.mark.parametrize("name", sorted(REAL_IRREDUCIBLE))
+    def test_irreducible_over_reals_stays_whole(self, name):
+        fam = MatrixFamily(REAL_IRREDUCIBLE[name])
+        r = block_triangularize(fam)
+        assert r.block_sizes == (fam.dim,)
+        assert np.all(r.transform.imag == 0)
+        assert is_irreducible(fam)
+        assert find_invariant_subspace(fam) is None
+        # the closure is below d^2, so only the proof keeps the block whole
+        alg = algebra_closure(fam)
+        assert alg.dimension < fam.dim ** 2
+        assert reduction._irreducible_over_reals(fam, alg)
+        assert real_orbit_gap(REAL_IRREDUCIBLE[name]) > 1e-2
+
+    @pytest.mark.parametrize("name", sorted(REAL_LOOKALIKES))
+    def test_lookalike_splits_into_real_planes(self, name):
+        fam = MatrixFamily(REAL_LOOKALIKES[name])
+        r = block_triangularize(fam)
+        assert r.block_sizes == (2, 2)
+        assert np.all(r.transform.imag == 0)
+        assert all(np.all(b.mats.imag == 0) for b in r.blocks)
+        assert r.reconstruction_residual() <= 1e-12
+        p = r.transform
+        assert np.max(np.abs(p.T @ p - np.eye(4))) <= 1e-12
+        assert not is_irreducible(fam)
+        w = find_invariant_subspace(fam)
+        assert w is not None and np.all(w.imag == 0)
+        assert real_orbit_gap(REAL_LOOKALIKES[name]) < 1e-9
+        for b in r.blocks:  # each plane is irreducible over R
+            assert real_orbit_gap(b.mats.real) > 1e-2
+
+    def test_scalar_plane_is_not_proven_irreducible(self):
+        # every real line is invariant, and the commutant M_2(R) has
+        # dimension 4 = d^2 / dim(A): only the trace form refuses it
+        fam = MatrixFamily(2.0 * np.eye(2)[None])
+        alg = algebra_closure(fam)
+        assert alg.dimension == 1
+        assert not reduction._irreducible_over_reals(fam, alg)
+        assert block_triangularize(fam).block_sizes == (1, 1)
+        assert real_orbit_gap(fam.mats.real) < 1e-9
 
 
 class TestBlockTriangularize:
@@ -445,7 +562,8 @@ class TestExtremalSubspace:
         # a golden pair in skewed coordinates (its Euclidean norm exceeds
         # phi) over a conformal block at 0.9 phi, behind a real rotation:
         # the real invariant plane keeps the restriction real, so the
-        # polytope of the word (1, 2) certifies it
+        # polytope of the word (1, 2) certifies it; the reduction is real,
+        # so every block reaches the polytope layer
         skew = np.array([[1.0, 2.0], [0.0, 1.0]])
         golden = np.array([[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
         c, s = np.cos(0.3), np.sin(0.3)
@@ -456,8 +574,16 @@ class TestExtremalSubspace:
         mats[:, 2:, 2:] = 0.9 * PHI * np.array([[[c, -s], [s, c]],
                                                 [[0.0, 1.0], [1.0, 0.0]]])
         q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        res = extremal_subspace(MatrixFamily(q.T @ mats @ q), depth=8,
-                                vertex_budget=30)
+        fam = MatrixFamily(q.T @ mats @ q)
+        red = block_triangularize(fam)
+        assert red.block_sizes == (2, 2)
+        fins = [certify_finiteness(b, bounds_bracket(b, 8).best_word, 30)
+                for b in red.blocks]
+        # the golden block certifies phi; the conformal block's witness
+        # (1,) has a complex leading eigenvalue
+        assert [f.verdict for f in fins] == ["certified", "inconclusive"]
+        assert fins[0].value == pytest.approx(PHI, rel=1e-12)
+        res = extremal_subspace(fam, depth=8, vertex_budget=30)
         assert res.dim == 2
         assert res.restricted_family.is_real
         assert res.certificate.kind == "polytope"
