@@ -272,14 +272,25 @@ class TestBracketProperties:
 
 
 class TestBudget:
-    def test_cut_bracket_is_flagged(self, golden_pair):
-        # a cut scan answers with a bracket flagged incomplete, not a
-        # raise: its lower is attained by its word, and both ends stay sound
+    def test_lower_raises_with_partial(self, golden_pair):
+        # the per-depth report raises on a cut scan; the partial lower end
+        # comes on the bracket, flagged incomplete and attained by its word
+        with pytest.raises(BudgetExceededError):
+            berger_wang_report(golden_pair, 10, node_budget=20)
         b = bounds_bracket(golden_pair, 10, node_budget=20)
         assert not b.complete
-        assert 0.0 < b.lower <= PHI + 1e-9 <= b.upper + 2e-9
+        assert 0.0 < b.lower <= PHI + 1e-9
         assert b.lower == pytest.approx(
             averaged_spectral_value(golden_pair, b.best_word), rel=1e-12)
+
+    def test_upper_raises(self, golden_pair):
+        # the report's upper column needs every level, so it raises; the
+        # cut bracket's upper end stays sound
+        with pytest.raises(BudgetExceededError):
+            berger_wang_report(golden_pair, 10, node_budget=20)
+        b = bounds_bracket(golden_pair, 10, node_budget=20)
+        assert not b.complete
+        assert PHI <= b.upper + 2e-9
 
     def test_bracket_falls_back_soundly(self, golden_pair):
         # a cut scan keeps every level that fit whole in the budget: its
