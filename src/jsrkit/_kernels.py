@@ -35,9 +35,9 @@ first Lyndon word that can beat it, a level that cannot raise the lower
 bound runs no ``eigvals``, and the answers are those of a walk that
 values every canonical word (Gripenberg's branch-and-bound rule).  The
 pruned search cuts a word on the Frobenius bound before it takes an SVD
-(``norms_above``).  Real families (every imaginary part exactly 0) run
-in float64, in the scan and the path kernel alike.  Letters are 0-based
-here; the scan's record gives 1-based words, as the public API does.
+(``norms_above``).  Every kernel computes in the dtype of its stack,
+float64 for a real family.  Letters are 0-based here; the scan's record
+gives 1-based words, as the public API does.
 """
 
 from __future__ import annotations
@@ -66,13 +66,6 @@ _GEMM_ENTRIES = 2 ** 14
 # the screen floor is the largest value among this many candidates with the
 # largest Frobenius norms
 _SCREEN_TOP = 4
-
-
-def real_if_exact(mats):
-    """The stack in float64 when every imaginary part is exactly 0."""
-    if not np.any(mats.imag):
-        return np.ascontiguousarray(mats.real)
-    return mats
 
 
 def children(prods, mats):
@@ -295,7 +288,6 @@ def scan_words(mats, depth, node_budget) -> WordScan:
     A level is scanned only when it fits in the remaining node budget.
     """
     K, d, _ = mats.shape
-    mats = real_if_exact(mats)
     max_rho = np.zeros(depth)
     max_norm = np.zeros(depth)
     best_val, best_word = -1.0, ()
@@ -329,7 +321,6 @@ def scan_words(mats, depth, node_budget) -> WordScan:
 def path_log_norms(mats, paths):
     """Per-path (1/L) log ||S_{i_1} ... S_{i_L}|| with running rescaling."""
     n_paths, length = paths.shape
-    mats = real_if_exact(mats)
     prods = np.eye(mats.shape[1], dtype=mats.dtype)[None]
     acc = np.zeros(n_paths)
     dead = np.zeros(n_paths, bool)

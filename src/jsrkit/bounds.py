@@ -121,25 +121,30 @@ def pruned_search(family: MatrixFamily, tol: float,
     Each level expands the whole frontier in one batched matmul, raises
     the lower bound by the level's spectral witness among its Lyndon
     words (under the tie rule above), then cuts every child whose
-    averaged norm is <= lower + tol.  The search stops after the level
-    whose node count reaches ``node_budget``, and is complete only if the
-    frontier ran out first.
+    averaged norm is <= lower + tol.  A level is expanded only if it fits
+    in the remaining node budget, as in the scan (with no level, the
+    bracket is [0, max_k ||S_k||] at (1,)), and the search is complete
+    only if the frontier ran out first.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     scale = family.scale
+    if family.size > node_budget:
+        return BoundsBracket(0.0, scale, (1,), 0, 0, False)
     if scale == 0.0:
         return BoundsBracket(0.0, 0.0, (1,), 1, family.size, True)
     # work on the rescaled family so products stay near magnitude 1
-    mats = _kernels.real_if_exact(family.normalized_mats())
+    mats = family.normalized_mats()
     prods = np.eye(family.dim, dtype=mats.dtype)[None]
     words = np.zeros((1, 0), np.int64)
     lengths = np.ones(1, np.int64)
     best_val, best_word = -1.0, words
     nodes = depth = 0
     while prods.shape[0] and depth < max_depth:
+        if nodes + prods.shape[0] * family.size > node_budget:
+            break
         depth += 1
         prods = _kernels.children(prods, mats)
         words, lengths, lyndon = _kernels.child_necklaces(words, lengths,
@@ -154,9 +159,7 @@ def pruned_search(family: MatrixFamily, tol: float,
         keep, norms = _kernels.norms_above(prods, fro, depth, scale,
                                            lower + tol)
         prods, words, lengths = prods[keep], words[keep], lengths[keep]
-        if nodes >= node_budget:
-            break
-    complete = not prods.shape[0] and nodes < node_budget
+    complete = not prods.shape[0]
     upper = float(np.max(norms, initial=lower + tol))
     return BoundsBracket(lower, upper, tuple(int(c) + 1 for c in best_word),
                          depth, nodes, complete)

@@ -99,7 +99,7 @@ def _realify(x) -> np.ndarray:
 def norm_value(cert: NormCertificate, x) -> float:
     """Minkowski gauge of the certificate's unit ball at x."""
     if cert.kind == "euclidean":
-        x = np.asarray(x, dtype=np.complex128)
+        x = np.asarray(x)
         if cert.transform is not None:
             x = x @ cert.transform
         return float(np.linalg.norm(x))
@@ -187,10 +187,8 @@ def _lp_gauge(vertices: np.ndarray, x: np.ndarray) -> float:
 def induced_norm(cert: NormCertificate, a: np.ndarray) -> float:
     """Operator norm of the row action x -> x a under the certificate norm."""
     if cert.kind == "euclidean":
-        a = np.asarray(a, dtype=np.complex128)
-        if cert.transform is not None:
-            t = np.asarray(cert.transform, dtype=np.complex128)
-            a = np.linalg.solve(t, a @ t)  # T^{-1} A T; ||x A T|| <= ||x T|| * sigma_max
+        if cert.transform is not None:  # T^{-1} A T; ||x A T|| <= ||x T|| * sigma_max
+            a = np.linalg.solve(cert.transform, np.asarray(a) @ cert.transform)
         return operator_norm(a)
     if not cert.spans():
         raise DegenerateNormError("vertex set does not span the space")
@@ -285,7 +283,7 @@ def certify_finiteness(family: MatrixFamily, word: Word,
     if rho_cand <= 0.0:
         return FinitenessCertificate(word, rho_cand, "inconclusive",
                                      reason="candidate value is zero")
-    mats = np.ascontiguousarray(family.mats.real) / rho_cand
+    mats = family.mats / rho_cand
     picked = _best_rotation(mats, word)
     if isinstance(picked, str):
         return FinitenessCertificate(word, rho_cand, "inconclusive", reason=picked)

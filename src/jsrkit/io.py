@@ -84,8 +84,12 @@ def family_from_dict(doc: dict, source: str = "<dict>") -> MatrixFamily:
         if not np.all(np.isfinite(m.view(np.float64))):
             raise FamilyFileError(f"{source}: matrix {mi} has NaN/inf entries")
         mats.append(m)
+    dims = {len(m) for m in mats}
+    if len(dims) != 1:
+        raise FamilyFileError(f"{source}: all members must share one "
+                              f"dimension, got {sorted(dims)}")
     try:
-        return MatrixFamily.from_matrices(mats)
+        return MatrixFamily(np.stack(mats))
     except ValueError as exc:
         raise FamilyFileError(f"{source}: {exc}")
 

@@ -1,11 +1,11 @@
-"""Complex matrix families, finite words, and elementary spectral quantities.
+"""Matrix families, finite words, and elementary spectral quantities.
 
 Everything downstream (bounds, reduction, ergodic averages) is built on the
 four operations here: spectral radius, operator norm, word products, and
-their nth-root averaged values.  Matrices are always stored as complex128;
-real input is promoted so there is a single code path.  A family is real
-when every imaginary part is exactly 0, the one realness rule of the
-package.
+their nth-root averaged values.  A matrix or family is real when every
+imaginary part is exactly 0, the one realness rule of the package, and it
+is decided once, on input: a real one is stored as float64 and any other
+as complex128.  Every consumer computes in the stored dtype.
 """
 
 from __future__ import annotations
@@ -22,16 +22,25 @@ class ConvergenceError(RuntimeError):
     """Eigenvalue/singular-value iteration failed to converge."""
 
 
-def as_matrix(entries) -> np.ndarray:
-    """Validate and return a square complex128 matrix."""
-    a = np.asarray(entries, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("matrix must be at least 1x1")
-    if not np.all(np.isfinite(a.view(np.float64))):
+def _stored(entries, ndim: int) -> np.ndarray:
+    """A validated C-contiguous copy of a square matrix (``ndim`` 2) or a
+    (K, d, d) stack (``ndim`` 3): float64 when every imaginary part is
+    exactly 0 (-0.0 included), complex128 otherwise."""
+    a = np.array(entries, dtype=np.complex128)
+    a = a if np.any(a.imag) else a.real.copy()
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        kind = "square matrix" if ndim == 2 else "(K, d, d) stack"
+        raise ValueError(f"expected a {kind}, got shape {a.shape}")
+    if not a.size:
+        raise ValueError(f"need at least one matrix of at least 1x1, got {a.shape}")
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite (no NaN/inf)")
     return a
+
+
+def as_matrix(entries) -> np.ndarray:
+    """Validate and return a square matrix, stored by ``_stored``."""
+    return _stored(entries, 2)
 
 
 def spectral_radius(a) -> float:
@@ -56,18 +65,13 @@ def operator_norm(a) -> float:
 
 @dataclass(frozen=True)
 class MatrixFamily:
-    """A finite set of K complex d x d matrices, stacked as a (K, d, d) array."""
+    """A finite set of K d x d matrices, stacked as a (K, d, d) array,
+    float64 for a real family and complex128 otherwise (``_stored``)."""
 
     mats: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.mats, dtype=np.complex128)
-        if m.ndim != 3 or m.shape[1] != m.shape[2]:
-            raise ValueError(f"expected a (K, d, d) stack, got shape {m.shape}")
-        if m.shape[0] < 1:
-            raise ValueError("family needs at least one matrix")
-        if not np.all(np.isfinite(m.view(np.float64))):
-            raise ValueError("family entries must be finite")
+        m = _stored(self.mats, 3)
         m.setflags(write=False)
         object.__setattr__(self, "mats", m)
 
@@ -89,7 +93,7 @@ class MatrixFamily:
 
     @property
     def is_real(self) -> bool:
-        return not np.any(self.mats.imag)
+        return self.mats.dtype == np.float64
 
     @functools.cached_property
     def scale(self) -> float:
@@ -127,7 +131,7 @@ def check_word(family: MatrixFamily, word: Word) -> None:
 def word_product(family: MatrixFamily, word: Word) -> np.ndarray:
     """S_{i_1} S_{i_2} ... S_{i_n}, multiplied left-to-right; empty word -> identity."""
     check_word(family, word)
-    prod = np.eye(family.dim, dtype=np.complex128)
+    prod = np.eye(family.dim)
     for letter in word:
         prod = prod @ family.mats[letter - 1]
     return prod

@@ -2,12 +2,12 @@
 
 A complex family is irreducible exactly when the unital algebra it
 generates is the full d x d matrix algebra, a span-closure computation.  A
-real family is reduced over the reals, all its extremal norm needs: its
-subspaces are real, and a closure below d^2 leaves it whole only with a
-proof.  Reducible families are repeatedly split along invariant subspaces
-into a lower-block-triangular form whose diagonal blocks are irreducible;
-the block with the largest joint spectral radius carries the whole
-family's growth rate.
+real family is reduced over the reals, in float64, all its extremal norm
+needs: its closure, subspaces, transform and blocks are real, and a
+closure below d^2 leaves it whole only with a proof.  Reducible families
+are repeatedly split along invariant subspaces into a lower-block-
+triangular form whose diagonal blocks are irreducible; the block with the
+largest joint spectral radius carries the whole family's growth rate.
 
 Subspace invariance uses the row-vector convention (x maps to x S_k);
 transpose the family for the column convention.
@@ -68,8 +68,8 @@ def algebra_closure(family: MatrixFamily) -> AlgebraResult:
     d = family.dim
     full = d * d
     gens = family.normalized_mats()
-    level = np.concatenate([np.eye(d, dtype=np.complex128)[None], gens])
-    ortho = np.zeros((0, full), np.complex128)  # accepted rows, orthonormal
+    level = np.concatenate([np.eye(d)[None], gens])
+    ortho = np.zeros((0, full), gens.dtype)  # accepted rows, orthonormal
     kept: list[np.ndarray] = []
     uncertain = False
     worst = float("inf")
@@ -79,7 +79,7 @@ def algebra_closure(family: MatrixFamily) -> AlgebraResult:
         rows = level[live].reshape(live.size, full) / norms[live, None]
         for _ in range(_SWEEPS):
             rows -= (rows @ ortho.conj().T) @ ortho
-        fresh = np.empty((min(live.size, full - len(ortho)), full), np.complex128)
+        fresh = np.empty((min(live.size, full - len(ortho)), full), gens.dtype)
         fresh_h = np.empty_like(fresh)  # their conjugates
         taken: list[int] = []
         for j, v in zip(live, rows):
@@ -166,9 +166,7 @@ def _split(family: MatrixFamily, alg: AlgebraResult, seed: int,
     # the first verified proper invariant subspace the probes find, or None;
     # for a real family the real span of an orbit and its conjugate
     d = family.dim
-    real = family.is_real
-    basis, mats = ((alg.basis.real, family.mats.real) if real
-                   else (alg.basis, family.mats))
+    real, basis = family.is_real, alg.basis
     # per probe, the real and then the imaginary parts of its coefficients
     # (the real parts alone for a real family); the sum adds the terms in
     # basis order, one at a time (a BLAS contraction rounds differently,
@@ -177,7 +175,7 @@ def _split(family: MatrixFamily, alg: AlgebraResult, seed: int,
     z = np.random.default_rng(seed).standard_normal((attempts, 2, alg.dimension))
     coeffs = z[:, 0] if real else z[:, 0] + 1j * z[:, 1]
     probes = np.concatenate([(coeffs[:, :, None, None] * basis).sum(axis=1),
-                             basis, mats])
+                             basis, family.mats])
     for r in probes:
         try:
             eigvecs = np.linalg.eig(r.T)[1]
@@ -206,7 +204,7 @@ def _refine(w: np.ndarray, family: MatrixFamily) -> np.ndarray:
     closure's rank band.  Kept only if it lowers the invariance residual."""
     r, d = w.shape
     p = np.linalg.svd(w)[2]
-    t = p @ _kernels.real_if_exact(family.mats) @ p.conj().T
+    t = p @ family.mats @ p.conj().T
     # row-major vec(A11 X - X A22), rows (k, i, j) and columns (i', j')
     op = (t[:, :r, None, :r, None] * np.eye(d - r)[:, None, :]
           - np.eye(r)[:, None, :, None] * t[:, None, r:, None, r:].swapaxes(2, 4))
@@ -227,7 +225,7 @@ def _irreducible_over_reals(family: MatrixFamily, alg: AlgebraResult) -> bool:
     eye = np.eye(d)
     # X -> X S - S X on row-major vec(X)
     op = np.concatenate([np.kron(eye, s.T) - np.kron(s, eye)
-                         for s in family.normalized_mats().real])
+                         for s in family.normalized_mats()])
     _, sv, vh = np.linalg.svd(op)
     if np.any((RANK_TOL * 1e-2 < sv) & (sv < RANK_TOL * 1e2)):
         return False
@@ -244,7 +242,7 @@ def _irreducible_over_reals(family: MatrixFamily, alg: AlgebraResult) -> bool:
 class ReductionResult:
     """Unitary similarity into lower-block-triangular form with irreducible
     diagonal blocks: transform^H S_k transform reproduces the layout.  A
-    real family gets a real orthogonal transform and real blocks,
+    real family gets a float64 orthogonal transform and float64 blocks,
     irreducible over the reals; a complex one, blocks irreducible over C."""
 
     family: MatrixFamily = field(metadata={"report": False})  # the input
@@ -276,16 +274,16 @@ class ReductionResult:
 
 def block_triangularize(family: MatrixFamily, seed: int = 0) -> ReductionResult:
     """Recursively split along invariant subspaces until every diagonal
-    block is irreducible, over the reals for a real family (imaginary
-    parts exactly 0, stored complex).  The assembled transform is unitary
-    (nested orthonormal completions), so it is as well-conditioned as
-    possible.  One algebra closure per split decides irreducibility
+    block is irreducible, over the reals for a real family, whose
+    transform and blocks are then float64.  The assembled transform is
+    unitary (nested orthonormal completions), so it is as well-conditioned
+    as possible.  One algebra closure per split decides irreducibility
     (raising ToleranceConflictError when uncertain) and seeds the subspace
     search."""
     d = family.dim
     w = None if d == 1 else _invariant_subspace(family, _certain_closure(family), seed)
     if w is None:  # irreducible
-        return ReductionResult(family, np.eye(d, dtype=np.complex128),
+        return ReductionResult(family, np.eye(d, dtype=family.mats.dtype),
                                (d,), (family,))
     m = w.shape[0]
     _, _, vh = np.linalg.svd(w)
@@ -296,7 +294,7 @@ def block_triangularize(family: MatrixFamily, seed: int = 0) -> ReductionResult:
     bottom = MatrixFamily(np.ascontiguousarray(t[:, m:, m:]))
     r_top = block_triangularize(top, seed=seed)
     r_bottom = block_triangularize(bottom, seed=seed)
-    q = np.zeros((d, d), dtype=np.complex128)
+    q = np.zeros((d, d), dtype=family.mats.dtype)
     q[:m, :m] = r_top.transform
     q[m:, m:] = r_bottom.transform
     return ReductionResult(family, p @ q,
@@ -407,7 +405,7 @@ def extremal_subspace(family: MatrixFamily, depth: int,
     cert = _certificate(family, rho_est, bracket.best_word, vertex_budget)
     if cert is not None:
         return ExtremalSubspace(
-            "ok", rho_est, basis=np.eye(family.dim, dtype=np.complex128),
+            "ok", rho_est, basis=np.eye(family.dim),
             restricted_family=family, certificate=cert,
             diagnostics=f"full space; verified {cert.kind} norm")
     reduction = block_triangularize(family, seed=seed)

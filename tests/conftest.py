@@ -27,4 +27,4 @@ def rotation():
 
 def random_family(seed, k=2, d=2, scale=1.0):
     rng = np.random.default_rng(seed)
-    return MatrixFamily(scale * rng.standard_normal((k, d, d)).astype(np.complex128))
+    return MatrixFamily(scale * rng.standard_normal((k, d, d)))

@@ -54,8 +54,9 @@ def _unscreened_rule(prods, words, lyndon, n, best_val, best_word):
 
 
 def _root(family):
-    """(normalized letters, identity product, root word, root length)."""
-    mats = _kernels.real_if_exact(family.normalized_mats())
+    """(normalized letters, identity product, root word, root length),
+    in the dtype the family stores."""
+    mats = family.normalized_mats()
     return (mats, np.eye(family.dim, dtype=mats.dtype)[None],
             np.zeros((1, 0), np.int64), np.ones(1, np.int64))
 
@@ -85,12 +86,16 @@ def reference_bracket(family, depth, budget):
 
 def reference_pruned(family, tol, budget, max_depth=64):
     """``pruned_search`` from SVDs of every frontier word and eigenvalues
-    of every Lyndon one."""
+    of every Lyndon one.  A level is expanded only when it fits in the
+    remaining budget; with no level, the bracket is [0, scale] at (1,)."""
     mats, prods, words, lengths = _root(family)
     scale = family.scale
-    best_val, best_word = -1.0, ()
+    best_val, best_word = -1.0, (1,)
+    lower = 0.0
     nodes = depth = 0
     while prods.shape[0] and depth < max_depth:
+        if nodes + prods.shape[0] * family.size > budget:
+            break
         depth += 1
         prods = _kernels.children(prods, mats)
         words, lengths, lyndon = _kernels.child_necklaces(words, lengths,
@@ -103,10 +108,8 @@ def reference_pruned(family, tol, budget, max_depth=64):
         keep = norms > lower + tol
         prods, words, lengths, norms = (prods[keep], words[keep],
                                         lengths[keep], norms[keep])
-        if nodes >= budget:
-            break
-    complete = not prods.shape[0] and nodes < budget
-    upper = float(np.max(norms, initial=lower + tol))
+    complete = not prods.shape[0]
+    upper = float(np.max(norms, initial=lower + tol)) if depth else scale
     return BoundsBracket(lower, upper, best_word, depth, nodes, complete)
 
 
@@ -372,6 +375,25 @@ class TestPrunedSearch:
         exact = bounds_bracket(fam, 8)
         assert b.lower <= exact.upper + 1e-9
         assert b.upper >= exact.lower - 1e-9
+
+    def test_keeps_to_the_node_budget(self):
+        # a level is expanded only when it fits: this pair's level 20
+        # would take the count from 84,070 to 154,862
+        rng = np.random.default_rng(0)
+        fam = MatrixFamily(rng.standard_normal((2, 2, 2))
+                           + 1j * rng.standard_normal((2, 2, 2)))
+        b = pruned_search(fam, tol=1e-3, node_budget=10**5)
+        assert not b.complete
+        assert b.nodes_visited <= 10**5
+        assert b.lower <= b.upper
+
+    def test_budget_below_one_level(self, golden_pair):
+        # not even level 1 fits: the bracket bounds_bracket gives
+        want = BoundsBracket(0.0, golden_pair.scale, (1,), 0, 0, False)
+        assert pruned_search(golden_pair, 1e-6, node_budget=1) == want
+        assert bounds_bracket(golden_pair, 4, node_budget=1) == want
+        zero = MatrixFamily(np.zeros((3, 2, 2)))
+        assert pruned_search(zero, 1e-6, node_budget=2).nodes_visited == 0
 
     def test_rejects_bad_tol(self, golden_pair):
         with pytest.raises(ValueError):

@@ -46,9 +46,11 @@ class TestFamilyFiles:
         assert np.array_equal(fam.mats, golden_pair.mats)
 
     def test_bundled_files_all_parse(self):
-        for name in ("golden_pair.json", "shear.json", "alpha_family.json"):
+        for name in ("golden_pair.json", "shear.json", "alpha_family.json",
+                     "complex_pair.json"):
             fam = io.parse_family(data_path(name))
             assert fam.dim == 2
+            assert fam.is_real == (name != "complex_pair.json")
 
     def test_invalid_json_diagnostic(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -75,6 +77,27 @@ class TestFamilyFiles:
                                  "matrices": [[[1, "x"], [0, 1]]]}))
         with pytest.raises(io.FamilyFileError, match="row 1 col 2"):
             io.parse_family(p)
+
+    @pytest.mark.parametrize("matrices, message", [
+        ([[[1, 0], [0, 1]], [[1]]], r"share one dimension, got \[1, 2\]"),
+        ([[[1]], [[float("nan")]]], "matrix 2 has NaN/inf"),
+        ([[[1]], [[[0, float("inf")]]]], "matrix 2 has NaN/inf"),
+        ([[]], "at least 1x1"),
+    ])
+    def test_family_diagnostics(self, matrices, message):
+        with pytest.raises(io.FamilyFileError, match=message):
+            io.family_from_dict({"schema_version": "1", "matrices": matrices})
+
+    @pytest.mark.parametrize("entry, dtype", [(2, np.float64),
+                                              ([2, 0], np.float64),
+                                              ([2, -0.0], np.float64),
+                                              ([2, 1e-18], np.complex128)])
+    def test_stored_dtype(self, entry, dtype):
+        # the file's family is stored by the one realness rule
+        fam = io.family_from_dict({"schema_version": "1",
+                                   "matrices": [[[1, entry], [0, 1]]]})
+        assert fam.mats.dtype == dtype
+        assert fam.mats[0, 0, 1] == complex(*np.atleast_1d(entry))
 
 
 class TestMeasureParsing:
@@ -161,7 +184,17 @@ class TestToJson:
         doc = json.loads(json.dumps(io.to_json(result)))
         assert set(doc) == {"transform", "block_sizes", "blocks", "structure"}
         assert doc["block_sizes"] == [1, 1]
-        # every entry is an [re, im] pair, real ones too
+        # a real family reduces in float64: its report holds plain numbers
+        assert doc["transform"] == result.transform.tolist()
+        assert doc["blocks"] == [block.mats.tolist() for block in result.blocks]
+        assert all(type(x) is float for row in doc["transform"] for x in row)
+
+    def test_complex_reduction_gives_pairs(self):
+        result = block_triangularize(
+            MatrixFamily.from_matrices([[[1j, 1], [0, 2j]]]))
+        assert result.block_sizes == (1, 1)
+        doc = json.loads(json.dumps(io.to_json(result)))
+        # every entry of a complex array is an [re, im] pair, real ones too
         assert doc["transform"] == [[[x.real, x.imag] for x in row]
                                     for row in result.transform]
         assert doc["blocks"] == [[[[[x.real, x.imag] for x in row]

@@ -2,10 +2,11 @@
 
 The oracle enumerates words with ``itertools.product`` and evaluates each
 one on its own (``word_product``, ``operator_norm``, ``spectral_radius``,
-rotations spelled out in ``is_canonical``), in complex arithmetic.  Ties
-go to the shortest, then lexicographically least, word whose value is
-within 1e-12 of the maximum.  Bounds may drift by rounding only; words,
-node counts and the completion flag must be identical.
+rotations spelled out in ``is_canonical``), in the family's stored dtype
+(float64 for a real family), which the scan is given too.  Ties go to the
+shortest, then lexicographically least, word whose value is within 1e-12
+of the maximum.  Bounds may drift by rounding only; words, node counts
+and the completion flag must be identical.
 """
 
 import itertools
@@ -52,7 +53,7 @@ def _first_near_max(scored, tie):
 def brute_scan(mats, depth, budget=10**6, dedup=True):
     """The scan's answers from every word; with ``dedup`` spectral values
     are taken on canonical words only, without it on every word."""
-    fam = MatrixFamily(np.asarray(mats, dtype=np.complex128))
+    fam = MatrixFamily(mats)
     k = fam.size
     max_rho = np.zeros(depth)
     max_norm = np.zeros(depth)
@@ -82,7 +83,7 @@ def assert_matches_brute(mats, depth, budget=10**6, oracle_dedup=True):
     word (``oracle_dedup=False``) must give the same answers, since a
     rotation has the same spectral radius and the least rotation comes
     first."""
-    mats = np.ascontiguousarray(np.asarray(mats, dtype=np.complex128))
+    mats = MatrixFamily(mats).mats
     res = _kernels.scan_words(mats, depth, budget)
     (o_rho, o_norm, o_best_val, o_best_word,
      o_nodes, o_complete) = brute_scan(mats, depth, budget, oracle_dedup)
@@ -179,8 +180,7 @@ class TestScreenWorstCases:
             z = z + 1j * rng.standard_normal((3, 3, 3))
         mats = 0.9 * np.stack([np.linalg.qr(m)[0] for m in z])
         assert_matches_brute(mats, 5)
-        res = _kernels.scan_words(np.ascontiguousarray(mats, np.complex128),
-                                  5, 10**6)
+        res = _kernels.scan_words(MatrixFamily(mats).mats, 5, 10**6)
         assert res.best_word == (1,)
 
     def test_nilpotent_products_reach_zero(self):
@@ -188,8 +188,7 @@ class TestScreenWorstCases:
         rng = np.random.default_rng(4)
         mats = np.triu(rng.standard_normal((2, 3, 3)), k=1)
         assert_matches_brute(mats, 6)
-        res = _kernels.scan_words(np.ascontiguousarray(mats, np.complex128),
-                                  6, 10**6)
+        res = _kernels.scan_words(MatrixFamily(mats).mats, 6, 10**6)
         assert np.all(res.max_norm[2:] == 0.0) and np.all(res.max_rho == 0.0)
 
     @pytest.mark.parametrize("cplx", [False, True])
@@ -562,14 +561,14 @@ class TestPathEquivalence:
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_real_family_matches_complex_copy(self, seed, monkeypatch):
-        # the real stack runs in float64; its complex128 copy, kept
-        # complex, gives the same values
+    def test_real_family_matches_complex_copy(self, seed):
+        # a real family's stack is float64, and the kernel runs in it; its
+        # complex128 copy runs complex and gives the same values
         rng = np.random.default_rng(seed)
-        mats = rng.standard_normal((3, 3, 3)) / 2.0
+        mats = MatrixFamily(rng.standard_normal((3, 3, 3)) / 2.0).mats
         paths = rng.integers(0, 3, size=(16, 200))
         got = _kernels.path_log_norms(mats, paths)
-        monkeypatch.setattr(_kernels, "real_if_exact", lambda m: m)
+        assert mats.dtype == np.float64
         want = _kernels.path_log_norms(mats.astype(np.complex128), paths)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 

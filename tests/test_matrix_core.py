@@ -79,7 +79,29 @@ class TestAsMatrix:
             as_matrix([[np.nan, 0], [0, 1]])
 
     def test_promotes_real_to_complex(self):
-        assert as_matrix([[1, 0], [0, 1]]).dtype == np.complex128
+        # only a matrix with a nonzero imaginary part is stored complex
+        assert as_matrix([[1, 0], [0, 1]]).dtype == np.float64
+        assert as_matrix([[1j, 0], [0, 1]]).dtype == np.complex128
+
+    @pytest.mark.parametrize("imag, dtype", [(0.0, np.float64),
+                                             (-0.0, np.float64),
+                                             (1e-18, np.complex128)])
+    def test_storage_rule(self, imag, dtype):
+        # real when every imaginary part is exactly 0, decided on input
+        entries = np.array([[1.0, 2.0], [0.5, 1.0]]) + 1j * np.array(
+            [[0.0, imag], [0.0, 0.0]])
+        assert as_matrix(entries).dtype == dtype
+        fam = MatrixFamily(entries[None])
+        assert fam.mats.dtype == dtype
+        assert fam.is_real == (dtype == np.float64)
+        assert MatrixFamily.from_matrices([entries, np.eye(2)]).mats.dtype == dtype
+
+    def test_stores_a_copy(self):
+        # the caller's array stays its own: writable and unaliased
+        mats = np.eye(2)[None].copy()
+        fam = MatrixFamily(mats)
+        mats[0, 0, 0] = 5.0
+        assert fam.mats[0, 0, 0] == 1.0 and fam.mats.flags.c_contiguous
 
 
 class TestMatrixFamily:

@@ -362,6 +362,19 @@ class TestRealReduction:
         for b in r.blocks:  # each plane is irreducible over R
             assert real_orbit_gap(b.mats.real) > 1e-2
 
+    @pytest.mark.parametrize("mats", [*REAL_LOOKALIKES.values(),
+                                      *REAL_IRREDUCIBLE.values()])
+    def test_real_family_reduces_in_float64(self, mats):
+        # the family is stored real, and so are the closure and the split
+        fam = MatrixFamily(mats)
+        assert algebra_closure(fam).basis.dtype == np.float64
+        r = block_triangularize(fam)
+        assert r.transform.dtype == np.float64
+        assert all(b.mats.dtype == np.float64 for b in r.blocks)
+        # a complex copy with one nonzero imaginary part stays complex
+        tilted = MatrixFamily(mats + 1e-300j)
+        assert algebra_closure(tilted).basis.dtype == np.complex128
+
     def test_scalar_plane_is_not_proven_irreducible(self):
         # every real line is invariant, and the commutant M_2(R) has
         # dimension 4 = d^2 / dim(A): only the trace form refuses it

@@ -3,7 +3,8 @@
 Each oracle enumerates words as tuples (``itertools.product`` or a
 tuple-by-tuple frontier) and evaluates each one on its own with
 ``word_product``, ``operator_norm``, ``spectral_radius``,
-``cylinder_probability`` and explicit rotations, in complex arithmetic.
+``cylinder_probability`` and explicit rotations, in the family's stored
+dtype.
 Words, node counts, depths and flags must be identical; values may drift
 by rounding only.
 """
@@ -38,12 +39,17 @@ def first_near_max(scored, tie):
 
 
 def literal_pruned_search(fam, tol, budget=10**7, max_depth=64):
-    """The prune rule word by word, on the family divided by its scale."""
+    """The prune rule word by word, on the family divided by its scale.
+    A level is expanded only when it fits in the remaining budget; with no
+    level, the bracket is [0, scale] at (1,)."""
     scale = fam.scale
     scaled = MatrixFamily(fam.mats / scale)
-    best_val, best_word = -1.0, None
+    best_val, best_word = -1.0, (1,)
+    lower = 0.0
     frontier, nodes, depth = [()], 0, 0
     while frontier and depth < max_depth:
+        if nodes + len(frontier) * fam.size > budget:
+            break
         depth += 1
         children = [w + (c,) for w in frontier for c in range(1, fam.size + 1)]
         nodes += len(children)
@@ -59,10 +65,9 @@ def literal_pruned_search(fam, tol, budget=10**7, max_depth=64):
                  for w in children]
         frontier = [w for w, v in zip(children, norms) if v > lower + tol]
         kept = [v for v in norms if v > lower + tol]
-        if nodes >= budget:
-            break
-    complete = not frontier and nodes < budget
-    return lower, max([lower + tol] + kept), best_word, depth, nodes, complete
+    complete = not frontier
+    upper = max([lower + tol] + kept) if depth else scale
+    return lower, upper, best_word, depth, nodes, complete
 
 
 def assert_pruned_matches(fam, tol, budget=10**7, max_depth=64):
@@ -94,8 +99,8 @@ class TestPrunedSearchOracle:
 
     @pytest.mark.parametrize("budget", [1, 2, 50, 51, 120])
     def test_budget_cuts(self, budget):
-        # a level is expanded whole; the search stops after the level that
-        # reaches the budget and is then never complete
+        # a level is expanded only when it fits in the remaining budget (at
+        # budget 1 not even level 1 does), and a cut search is not complete
         b = assert_pruned_matches(random_family(3, k=2, d=3), 1e-9, budget)
         assert not b.complete
 
