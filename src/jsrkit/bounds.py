@@ -59,13 +59,15 @@ class BudgetExceededError(RuntimeError):
 def _scan(family: MatrixFamily, depth: int,
           node_budget: int) -> _kernels.WordScan:
     """Exhaustive word-tree scan, rescaled for overflow safety.  Before
-    level 1 the spectral witness is the word (1,) with value 0."""
+    level 1 the spectral witness is the word (1,) with value 0; a zero
+    family scans every level in one, if level 1 fits the budget."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     scale = family.scale
     if scale == 0.0:
+        fits = family.size <= node_budget
         return _kernels.WordScan(np.zeros(depth), np.zeros(depth), 0.0, (1,),
-                                 family.size, depth, True)
+                                 family.size * fits, depth * fits, fits)
     res = _kernels.scan_words(family.normalized_mats(), depth, node_budget)
     return replace(res, max_rho=res.max_rho * scale,
                    max_norm=res.max_norm * scale,

@@ -19,4 +19,6 @@ INVARIANCE_TOL = 1e-8        # scale-relative subspace invariance residual
 MEMBERSHIP_TOL = 1e-10       # polytope gauge membership
 VERTEX_BUDGET = 10**4        # certification vertex cap
 EXTREMALITY_TOL = 1e-6       # verdict tolerance for exact Lyapunov methods
-RENORM_EVERY = 32            # steps between running-product rescales
+# letters between rescales of a running product; path_log_norms advances
+# a power-of-two block of letters per step and keeps this cadence
+RENORM_EVERY = 32

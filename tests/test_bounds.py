@@ -324,6 +324,19 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             berger_wang_report(golden_pair, 10, node_budget=20)
 
+    def test_zero_family_budget_below_one_level(self):
+        # the zero family's shortcut keeps the budget: with not even level
+        # 1 in it, the bracket is the pruned search's, cut before level 1
+        zero = MatrixFamily(np.zeros((3, 2, 2)))
+        want = BoundsBracket(0.0, 0.0, (1,), 0, 0, False)
+        assert bounds_bracket(zero, 4, node_budget=1) == want
+        assert pruned_search(zero, 1e-6, node_budget=1) == want
+
+    def test_zero_family_report_raises(self):
+        with pytest.raises(BudgetExceededError):
+            berger_wang_report(MatrixFamily(np.zeros((3, 2, 2))), 4,
+                               node_budget=1)
+
 
 class TestBergerWangReport:
     def test_columns_are_monotone(self, golden_pair):

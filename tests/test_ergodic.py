@@ -95,6 +95,17 @@ class TestSamplePaths:
         freq = paths.mean()
         assert freq == pytest.approx(0.5, abs=0.02)
 
+    def test_seeded_paths_are_pinned(self):
+        # the paths of a fixed seed, bit for bit: a change to the Monte
+        # Carlo estimate's product kernel moves its value by rounding only
+        P = np.array([[0.2, 0.5, 0.3], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]])
+        got = sample_paths(MarkovMeasure.from_transition(P), 4, 16, seed=5)
+        assert got.tolist() == [
+            [2, 2, 2, 2, 0, 1, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2],
+            [2, 2, 2, 0, 1, 0, 2, 0, 1, 2, 2, 2, 2, 0, 2, 0],
+            [2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2],
+            [0, 2, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]]
+
 
 def _compare_and_sum_paths(mu, samples, length, seed):
     """The sampler as a compare-and-sum over every transition row."""
@@ -164,6 +175,33 @@ class TestLyapunovMonteCarlo:
     def test_input_validation(self, golden_pair, uniform):
         with pytest.raises(ValueError):
             lyapunov_monte_carlo(golden_pair, uniform, 1, 10)
+
+
+class TestRescaling:
+    """Both Lyapunov estimates of c S are those of S plus log c: no
+    decision of the product kernel changes when the input is rescaled."""
+
+    @pytest.mark.parametrize("c", [1e-150, 1e150])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_exact_finite(self, c, k):
+        fam = random_family(40 + k, k=k, d=3)
+        mu = MarkovMeasure.from_transition(
+            np.random.default_rng(k).dirichlet(np.ones(k), size=k))
+        want = lyapunov_exact_finite(fam, mu, 7).value + math.log(c)
+        got = lyapunov_exact_finite(fam.scaled(c), mu, 7).value
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("c", [1e-150, 1e150])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_monte_carlo(self, c, k):
+        fam = random_family(50 + k, k=k, d=3)
+        mu = MarkovMeasure.from_transition(
+            np.random.default_rng(k).dirichlet(np.ones(k), size=k))
+        base = lyapunov_monte_carlo(fam, mu, 16, 203, seed=3)
+        est = lyapunov_monte_carlo(fam.scaled(c), mu, 16, 203, seed=3)
+        assert est.value == pytest.approx(base.value + math.log(c),
+                                          rel=1e-12, abs=0.0)
+        assert est.stderr == pytest.approx(base.stderr, rel=1e-9)
 
 
 class TestExtremalityVerdict:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from jsrkit import MatrixFamily, _kernels
+from jsrkit.config import RENORM_EVERY
 from jsrkit.matrix_core import operator_norm, spectral_radius, word_product
 
 from conftest import random_family
@@ -549,6 +550,15 @@ def _direct_log_norm(mats, path):
     return math.log(operator_norm(prod))
 
 
+def _direct_log_norms(mats, paths):
+    return np.array([_direct_log_norm(mats, p) / len(p) for p in paths])
+
+
+def _stack(rng, k, d, cplx):
+    mats = rng.standard_normal((k, d, d)) / d
+    return mats + 1j * rng.standard_normal((k, d, d)) / d if cplx else mats
+
+
 class TestPathEquivalence:
     @pytest.mark.parametrize("seed", range(3))
     def test_path_log_norms(self, seed):
@@ -572,6 +582,67 @@ class TestPathEquivalence:
         want = _kernels.path_log_norms(mats.astype(np.complex128), paths)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("k, b", [(2, 8), (3, 4), (4, 4), (5, 2)])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_lengths_around_a_block(self, k, b, cplx):
+        # the kernel steps b letters at a time after a head step of 1..b;
+        # lengths around one block, and past two rescales, give the
+        # letter-by-letter value
+        assert _kernels._block_length(k) == b
+        rng = np.random.default_rng(10 * k + cplx)
+        mats = _stack(rng, k, 3, cplx)
+        for length in sorted({1, b - 1, b, b + 1, 2 * RENORM_EVERY + 3} - {0}):
+            paths = rng.integers(0, k, size=(12, length))
+            got = _kernels.path_log_norms(mats, paths)
+            np.testing.assert_allclose(got, _direct_log_norms(mats, paths),
+                                       rtol=REL, atol=0.0)
+
+    def test_one_letter_takes_whole_rescale_windows(self):
+        # K = 1 gives b = RENORM_EVERY: one block per rescale
+        assert _kernels._block_length(1) == RENORM_EVERY
+        mat = np.array([[[0.9, 0.5], [0.0, 0.7]]])
+        for length in (1, RENORM_EVERY, 3 * RENORM_EVERY + 5):
+            paths = np.zeros((2, length), np.int64)
+            np.testing.assert_allclose(
+                _kernels.path_log_norms(mat, paths),
+                _direct_log_norms(mat, paths), rtol=REL, atol=0.0)
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_path_through_a_zero_product(self, cplx):
+        # N N = 0 for the second letter N: a path with N N inside a block,
+        # across the head step, across a rescale or at its end has -inf;
+        # paths with N only alone stay finite
+        rng = np.random.default_rng(3)
+        a = _stack(rng, 1, 2, cplx)[0]
+        mats = np.stack([a, np.array([[0.0, 1.0], [0.0, 0.0]], a.dtype)])
+        length = 2 * RENORM_EVERY + 3   # b = 8: head 3, rescale after 27
+        paths = np.zeros((8, length), np.int64)
+        for row, at in enumerate((0, 2, 5, 26, length - 2)):
+            paths[row, at:at + 2] = 1
+        for row in (5, 6, 7):
+            paths[row, rng.choice(length // 2, 8, replace=False) * 2] = 1
+        got = _kernels.path_log_norms(mats, paths)
+        assert np.all(np.isneginf(got[:5]))
+        np.testing.assert_allclose(got[5:], _direct_log_norms(mats, paths[5:]),
+                                   rtol=REL, atol=0.0)
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_contracting_letter(self, cplx):
+        # S_2 = 1e-6 S_1: products shrink by up to 1e-192 between
+        # rescales, below where the squares summed into their Frobenius
+        # norm underflow to 0; only a zero product may give -inf
+        rng = np.random.default_rng(4)
+        a = _stack(rng, 1, 3, cplx)[0]
+        a /= operator_norm(a)
+        mats = np.stack([a, 1e-6 * a])
+        length = RENORM_EVERY + 8
+        paths = (rng.random((12, length))
+                 < np.linspace(0.2, 1.0, 12)[:, None]).astype(np.int64)
+        paths[-1] = 1
+        got = _kernels.path_log_norms(mats, paths)
+        np.testing.assert_allclose(got, _direct_log_norms(mats, paths),
+                                   rtol=REL, atol=0.0)
+
     def test_power_log_norms(self):
         # a one-letter scan walks the powers: n log of its level maximum
         # is log ||A^n||
@@ -585,3 +656,4 @@ class TestPathEquivalence:
         mat = np.zeros((1, 2, 2), dtype=np.complex128)
         res = _kernels.scan_words(mat, 5, 10**6)
         assert np.all(res.max_norm == 0.0)
+
