@@ -17,9 +17,10 @@ from . import _kernels
 from .bounds import BoundsBracket, bounds_bracket
 from .config import (DEFAULT_DEPTH, DEFAULT_NODE_BUDGET, EXTREMALITY_TOL,
                      VERTEX_BUDGET)
-from .extremal import ComplexFamilyError, FinitenessCertificate, certify_finiteness
-from .matrix_core import (MatrixFamily, Word, averaged_spectral_value,
-                          spectral_radius, word_product)
+from .extremal import (ComplexFamilyError, FinitenessCertificate,
+                       certify_finiteness, check_extremal_norm)
+from .matrix_core import (MatrixFamily, Word, _normalized_product,
+                          averaged_spectral_value, spectral_radius)
 from .symbolic import (MarkovMeasure, PeriodicMeasure, PeriodicSequence,
                        ShiftMeasure, is_density_point, support_size,
                        support_walk)
@@ -63,11 +64,12 @@ def lyapunov_exact_finite(family: MatrixFamily, mu: ShiftMeasure, n: int,
 
 def lyapunov_periodic(family: MatrixFamily, xi: PeriodicSequence) -> LyapunovEstimate:
     """(1/pi) log rho of the period product: the exact a.e. growth rate
-    along the periodic orbit (Gelfand's formula)."""
-    r = spectral_radius(word_product(family, xi.period))
-    value = math.log(r) if r > 0.0 else -math.inf
-    return LyapunovEstimate(value / xi.period_length if r > 0.0 else -math.inf,
-                            "periodic-exact", xi.period_length)
+    along the periodic orbit (Gelfand's formula), taken on the normalized
+    product as log rho(P)/pi + log scale, and -inf when rho(P) = 0."""
+    r = spectral_radius(_normalized_product(family, xi.period))
+    value = (math.log(r) / xi.period_length + math.log(family.scale)
+             if r > 0.0 else -math.inf)
+    return LyapunovEstimate(value, "periodic-exact", xi.period_length)
 
 
 def sample_paths(mu: MarkovMeasure, samples: int, length: int,
@@ -75,15 +77,20 @@ def sample_paths(mu: MarkovMeasure, samples: int, length: int,
     """Seeded Markov-chain paths as a (samples, length) 0-based array."""
     rng = np.random.default_rng(seed)
     k = mu.alphabet_size
+    # each cumulative row over its last entry ends at exactly 1 > u, and
+    # side="right" takes the first letter whose cumulative mass exceeds u,
+    # so no draw, u = 0 included, takes a letter of probability 0
     cum_p = np.cumsum(mu.p)
+    cum_p /= cum_p[-1]
     cum_rows = np.cumsum(mu.P, axis=1)
+    cum_rows /= cum_rows[:, -1:]
     u = rng.random((samples, length))
     paths = np.empty((samples, length), dtype=np.int64)
-    paths[:, 0] = np.searchsorted(cum_p, u[:, 0], side="right").clip(0, k - 1)
+    paths[:, 0] = np.searchsorted(cum_p, u[:, 0], side="right")
     # next_letter[i, s, t]: the letter at step t of path s after state i
     next_letter = np.empty((k, samples, length), np.min_scalar_type(k - 1))
     for i in range(k):
-        next_letter[i] = np.searchsorted(cum_rows[i], u, side="left").clip(0, k - 1)
+        next_letter[i] = np.searchsorted(cum_rows[i], u, side="right")
     cols = np.arange(samples)
     for t in range(1, length):
         paths[:, t] = next_letter[paths[:, t - 1], cols, t]
@@ -284,7 +291,10 @@ def corollary_reports(family: MatrixFamily, mu: MarkovMeasure,
     periodic measure attains the bracket's lower bound.  A certificate at
     value r proves rho <= r (1 + MEMBERSHIP_TOL) and the witness proves
     rho >= its own value, so a word whose value lies further than that
-    below the witness's cannot certify.
+    below the witness's cannot certify.  The reported upper bound of a
+    certified run is the largest induced generator norm under the
+    certificate (``check_extremal_norm``'s attained value), which bounds
+    rho whatever its distance from the value.
     """
     verdict = extremality_verdict(family, mu, depth, node_budget=node_budget)
     cert: FinitenessCertificate | None = None
@@ -292,8 +302,9 @@ def corollary_reports(family: MatrixFamily, mu: MarkovMeasure,
         cert = certify_finiteness(family, verdict.jsr_bracket.best_word,
                                   vertex_budget)
     scan_max = verdict.jsr_bracket.lower  # max averaged spectral value by construction
-    upper = cert.value if cert is not None and cert.verdict == "certified" \
-        else verdict.jsr_bracket.upper
+    upper = verdict.jsr_bracket.upper
+    if cert is not None and cert.verdict == "certified":
+        upper = check_extremal_norm(family, cert.certificate, cert.value)[2]
     if scan_max < 1.0 and upper < 1.0:
         conclusion = (f"periodically switched stable and rho(S) <= "
                       f"{upper:.12g} < 1")

@@ -24,10 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .config import MEMBERSHIP_TOL, VERTEX_BUDGET
-from .matrix_core import (MatrixFamily, Word, averaged_spectral_value,
-                          operator_norm)
+from .matrix_core import MatrixFamily, Word, _normalized_product, operator_norm
 
 
 class ComplexFamilyError(ValueError):
@@ -230,43 +228,21 @@ class FinitenessCertificate:
     reason: str = ""
 
 
-def _best_rotation(mats_real: np.ndarray, word: Word) -> tuple[Word, np.ndarray] | str:
-    """Cyclic rotation of the word whose product has the cleanest leading
-    eigenpair: simple and real, of either sign (the polytope is balanced,
-    so an eigenvalue -1 of the normalized product maps the seed v to -v,
-    which is inside it).  Returns a reason string on failure."""
-    n = len(word)
-    rots = (np.arange(n)[:, None] + np.arange(n)) % n  # rotation s starts at s
-    letters = np.asarray(word)[rots] - 1
-    prods = np.eye(mats_real.shape[1])[None]
-    for t in range(n):
-        prods = prods @ mats_real[letters[:, t]]
-    ev = np.linalg.eigvals(prods)
-    ev = np.take_along_axis(ev, np.argsort(-np.abs(ev), axis=1), axis=1)
-    mag = np.abs(ev[:, 0])
-    if mag[0] <= 0.0:
-        return "leading eigenvalue of the word product is zero"
-    second = np.abs(ev[:, 1]) if ev.shape[1] > 1 else 0.0
-    gap = (mag - second) / mag
-    usable = np.flatnonzero(np.abs(ev[:, 0].imag) <= 1e-9 * mag)
-    if not usable.size:
-        return "no cyclic rotation has a real leading eigenvalue"
-    s = usable[_kernels.first_near_max(gap[usable], 1e-15)]
-    if gap[s] <= 1e-12:
-        return "leading eigenvalue is (numerically) not simple"
-    return word[s:] + word[:s], prods[s]
-
-
 def certify_finiteness(family: MatrixFamily, word: Word,
                        vertex_budget: int = VERTEX_BUDGET) -> FinitenessCertificate:
     """Certify that a word attains the joint spectral radius.
 
-    Scales the family by the word's averaged spectral value, seeds a
-    vertex set with the leading left eigenvector of the scaled word
-    product, and closes the set under the generators: every image that
-    escapes the current balanced hull becomes a new vertex.  If the
-    closure terminates, the polytope gauge is an extremal norm and the JSR
-    equals the candidate value.  A closed vertex set that spans only an
+    One eigendecomposition of the word's normalized product P
+    (``normalized_mats``) gives the candidate value |lambda|^(1/n) scale
+    from its leading eigenvalue lambda, which must be nonzero, real (of
+    either sign: the polytope is balanced) and simple, and the seed, its
+    leading left eigenvector.  No rotation of the word is tried: each has
+    the spectrum of P, and its seed is the image of this one under a
+    prefix, which the closure reaches anyway.  The closure runs on the
+    normalized generators over |lambda|^(1/n): every image that escapes
+    the current balanced hull becomes a new vertex.  If it terminates,
+    the polytope gauge is an extremal norm and the JSR equals the
+    candidate value.  A closed vertex set that spans only an
     invariant subspace bounds the family on that subspace alone: it is
     completed by short vertices along the orthogonal complement, and
     unless the generators map those into the completed polytope the
@@ -279,24 +255,30 @@ def certify_finiteness(family: MatrixFamily, word: Word,
         raise ComplexFamilyError(
             "polytope certification supports real families only; "
             "use the bounds subcommand for complex input")
-    rho_cand = averaged_spectral_value(family, word)
+    ev, vecs = np.linalg.eig(_normalized_product(family, word).T)
+    order = np.argsort(-np.abs(ev))
+    lead = ev[order[0]]
+    mag = float(abs(lead))
+    rho_norm = mag ** (1.0 / len(word))
+    rho_cand = rho_norm * family.scale
+
+    def refuse(reason):
+        return FinitenessCertificate(word, rho_cand, "inconclusive", reason=reason)
+
     if rho_cand <= 0.0:
-        return FinitenessCertificate(word, rho_cand, "inconclusive",
-                                     reason="candidate value is zero")
-    mats = family.mats / rho_cand
-    picked = _best_rotation(mats, word)
-    if isinstance(picked, str):
-        return FinitenessCertificate(word, rho_cand, "inconclusive", reason=picked)
-    rot, prod = picked
-    ev, vecs = np.linalg.eig(prod.T)
-    lead = int(np.argmax(np.abs(ev)))
-    v = vecs[:, lead]
+        return refuse("candidate value is zero")
+    if abs(lead.imag) > 1e-9 * mag:
+        return refuse("no cyclic rotation has a real leading eigenvalue")
+    second = abs(ev[order[1]]) if ev.size > 1 else 0.0
+    if (mag - second) / mag <= 1e-12:
+        return refuse("leading eigenvalue is (numerically) not simple")
+    v = vecs[:, order[0]]
     pivot = v[np.argmax(np.abs(v))]
     v = v / (pivot / abs(pivot))
     if np.max(np.abs(v.imag)) > 1e-9:
-        return FinitenessCertificate(word, rho_cand, "inconclusive",
-                                     reason="leading eigenvector is not realizable")
+        return refuse("leading eigenvector is not realizable")
     v = v.real / np.linalg.norm(v.real)
+    mats = family.normalized_mats() / rho_norm
 
     vertices = [v]
     queue = [v]

@@ -2,10 +2,14 @@
 
 Everything downstream (bounds, reduction, ergodic averages) is built on the
 four operations here: spectral radius, operator norm, word products, and
-their nth-root averaged values.  A matrix or family is real when every
-imaginary part is exactly 0, the one realness rule of the package, and it
-is decided once, on input: a real one is stored as float64 and any other
-as complex128.  Every consumer computes in the stored dtype.
+their nth-root averaged values.  The value of a word is taken on the
+letters over the family's scale (``MatrixFamily.normalized_mats``), whose
+products cannot overflow, with the scale multiplied back: the formula of
+the word walks, so a rescaled family gets the same answers.  A matrix or
+family is real when every imaginary part is exactly 0, the one realness
+rule of the package, and it is decided once, on input: a real one is
+stored as float64 and any other as complex128.  Every consumer computes
+in the stored dtype.
 """
 
 from __future__ import annotations
@@ -137,17 +141,29 @@ def word_product(family: MatrixFamily, word: Word) -> np.ndarray:
     return prod
 
 
-def averaged_spectral_value(family: MatrixFamily, word: Word) -> float:
-    """rho(S_{i_1}...S_{i_n})^(1/n)."""
+def _normalized_product(family: MatrixFamily, word: Word) -> np.ndarray:
+    """The product of a non-empty word's letters from ``normalized_mats``,
+    left-to-right as the word walks multiply them: its 2-norm is at most 1,
+    so it cannot overflow, and it is the word's product over scale^n."""
     if len(word) < 1:
         raise ValueError("averaged values need a non-empty word")
-    r = spectral_radius(word_product(family, word))
-    return r ** (1.0 / len(word))
+    check_word(family, word)
+    mats = family.normalized_mats()
+    prod = mats[word[0] - 1]
+    for letter in word[1:]:
+        prod = prod @ mats[letter - 1]
+    return prod
+
+
+def averaged_spectral_value(family: MatrixFamily, word: Word) -> float:
+    """rho(S_{i_1}...S_{i_n})^(1/n), taken as rho(P)^(1/n) scale on the
+    normalized product P, as the word walks value words."""
+    r = spectral_radius(_normalized_product(family, word))
+    return r ** (1.0 / len(word)) * family.scale
 
 
 def averaged_norm_value(family: MatrixFamily, word: Word) -> float:
-    """||S_{i_1}...S_{i_n}||^(1/n)."""
-    if len(word) < 1:
-        raise ValueError("averaged values need a non-empty word")
-    n = operator_norm(word_product(family, word))
-    return n ** (1.0 / len(word))
+    """||S_{i_1}...S_{i_n}||^(1/n), taken as ||P||^(1/n) scale on the
+    normalized product P, as the word walks value words."""
+    n = operator_norm(_normalized_product(family, word))
+    return n ** (1.0 / len(word)) * family.scale

@@ -38,6 +38,7 @@ class AlgebraResult:
 
 
 _SWEEPS = 3  # classical Gram-Schmidt sweeps per projection; see algebra_closure
+_ATTEMPTS = 8  # seeded random algebra elements probed per subspace search
 
 
 def algebra_closure(family: MatrixFamily) -> AlgebraResult:
@@ -105,8 +106,7 @@ def algebra_closure(family: MatrixFamily) -> AlgebraResult:
     return AlgebraResult(len(basis), basis, uncertain, worst)
 
 
-def _certain_closure(family: MatrixFamily) -> AlgebraResult:
-    res = algebra_closure(family)
+def _certain(res: AlgebraResult) -> AlgebraResult:
     if res.uncertain:
         raise ToleranceConflictError(
             f"rank decision ambiguous near tolerance (gap factor {res.worst_ratio:.2g})")
@@ -114,14 +114,15 @@ def _certain_closure(family: MatrixFamily) -> AlgebraResult:
 
 
 def algebra_dimension(family: MatrixFamily) -> int:
-    return _certain_closure(family).dimension
+    return _certain(algebra_closure(family)).dimension
 
 
 def is_irreducible(family: MatrixFamily) -> bool:
     """No nontrivial common invariant subspace: over the reals for a real
     family, over the complex numbers otherwise.  The decision is
     ``block_triangularize``'s, so the two always agree."""
-    return _invariant_subspace(family, _certain_closure(family), seed=0) is None
+    alg = _certain(algebra_closure(family))
+    return _invariant_subspace(family, alg, seed=0) is None
 
 
 def _invariance_residual(basis: np.ndarray, family: MatrixFamily) -> float:
@@ -132,26 +133,30 @@ def _invariance_residual(basis: np.ndarray, family: MatrixFamily) -> float:
     return float(np.linalg.norm(residual, axis=(1, 2)).max()) / scale
 
 
-def find_invariant_subspace(family: MatrixFamily, seed: int = 0,
-                            attempts: int = 8) -> np.ndarray | None:
+def find_invariant_subspace(family: MatrixFamily, seed: int = 0) -> np.ndarray | None:
     """Orthonormal row basis W of a proper nonzero subspace with W S_k in span(W).
 
     Probes left eigenvectors of seeded random algebra elements and spans
     their algebra orbits; every candidate is post-verified for invariance
     before being returned.  For a real family W is real and None means
     irreducible over the reals; for a complex family None means
-    irreducible over the complex numbers.
+    irreducible over the complex numbers.  None comes only from a certain
+    closure of dimension d^2 or from the proof over the reals; a verified
+    subspace is returned from any closure, and otherwise the call raises
+    ToleranceConflictError, as ``is_irreducible`` does.
     """
-    return _invariant_subspace(family, algebra_closure(family), seed, attempts)
+    return _invariant_subspace(family, algebra_closure(family), seed)
 
 
-def _invariant_subspace(family: MatrixFamily, alg: AlgebraResult, seed: int,
-                        attempts: int = 8) -> np.ndarray | None:
+def _invariant_subspace(family: MatrixFamily, alg: AlgebraResult,
+                        seed: int) -> np.ndarray | None:
     # the one decision of is_irreducible, find_invariant_subspace and
-    # block_triangularize: below d^2, a subspace or a proof over the reals
+    # block_triangularize: d^2 from a certain closure, or below d^2 a
+    # subspace or a proof over the reals
     if alg.dimension == family.dim ** 2:
+        _certain(alg)
         return None
-    w = _split(family, alg, seed, attempts)
+    w = _split(family, alg, seed)
     if w is not None:
         return _refine(w, family)
     if not (family.is_real and _irreducible_over_reals(family, alg)):
@@ -161,8 +166,7 @@ def _invariant_subspace(family: MatrixFamily, alg: AlgebraResult, seed: int,
     return None
 
 
-def _split(family: MatrixFamily, alg: AlgebraResult, seed: int,
-           attempts: int = 8) -> np.ndarray | None:
+def _split(family: MatrixFamily, alg: AlgebraResult, seed: int) -> np.ndarray | None:
     # the first verified proper invariant subspace the probes find, or None;
     # for a real family the real span of an orbit and its conjugate
     d = family.dim
@@ -172,7 +176,7 @@ def _split(family: MatrixFamily, alg: AlgebraResult, seed: int,
     # basis order, one at a time (a BLAS contraction rounds differently,
     # and the transform block_triangularize builds from the subspace is
     # not continuous in it)
-    z = np.random.default_rng(seed).standard_normal((attempts, 2, alg.dimension))
+    z = np.random.default_rng(seed).standard_normal((_ATTEMPTS, 2, alg.dimension))
     coeffs = z[:, 0] if real else z[:, 0] + 1j * z[:, 1]
     probes = np.concatenate([(coeffs[:, :, None, None] * basis).sum(axis=1),
                              basis, family.mats])
@@ -281,7 +285,8 @@ def block_triangularize(family: MatrixFamily, seed: int = 0) -> ReductionResult:
     (raising ToleranceConflictError when uncertain) and seeds the subspace
     search."""
     d = family.dim
-    w = None if d == 1 else _invariant_subspace(family, _certain_closure(family), seed)
+    w = (None if d == 1 else
+         _invariant_subspace(family, _certain(algebra_closure(family)), seed))
     if w is None:  # irreducible
         return ReductionResult(family, np.eye(d, dtype=family.mats.dtype),
                                (d,), (family,))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from jsrkit import (MarkovMeasure, MatrixFamily, PeriodicMeasure,
-                    PeriodicSequence, certify_finiteness, corollary_reports,
-                    ergodic, extremality_verdict,
+                    PeriodicSequence, certify_finiteness, check_extremal_norm,
+                    corollary_reports, ergodic, extremality_verdict,
                     finiteness_to_measure, lyapunov_exact_finite,
                     lyapunov_monte_carlo, lyapunov_periodic,
                     measure_to_finiteness, operator_norm, word_product)
@@ -106,19 +106,32 @@ class TestSamplePaths:
             [2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2],
             [0, 2, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]]
 
+    def test_zero_draw_takes_no_forbidden_transition(self, alternating,
+                                                     monkeypatch):
+        # a draw u = 0 falls on the cumulative entry 0 of the forbidden
+        # transition 1 -> 1: it takes the first letter of positive mass
+        class Zeros:
+            def random(self, shape):
+                return np.zeros(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Zeros())
+        paths = sample_paths(alternating, 2, 6, seed=0)
+        assert paths.tolist() == [[0, 1, 0, 1, 0, 1]] * 2
+
 
 def _compare_and_sum_paths(mu, samples, length, seed):
-    """The sampler as a compare-and-sum over every transition row."""
+    """The sampler as a compare-and-sum over every transition row: the
+    letter is the number of cumulative entries at or below u."""
     rng = np.random.default_rng(seed)
-    k = mu.alphabet_size
+    cum_p = np.cumsum(mu.p)
     cum_rows = np.cumsum(mu.P, axis=1)
+    cum_rows /= cum_rows[:, -1:]
     u = rng.random((samples, length))
     paths = np.empty((samples, length), dtype=np.int64)
-    paths[:, 0] = np.searchsorted(np.cumsum(mu.p), u[:, 0],
-                                  side="right").clip(0, k - 1)
+    paths[:, 0] = np.searchsorted(cum_p / cum_p[-1], u[:, 0], side="right")
     for t in range(1, length):
         rows = cum_rows[paths[:, t - 1]]
-        paths[:, t] = (u[:, t, None] > rows).sum(axis=1).clip(0, k - 1)
+        paths[:, t] = (u[:, t, None] >= rows).sum(axis=1)
     return paths
 
 
@@ -202,6 +215,39 @@ class TestRescaling:
         assert est.value == pytest.approx(base.value + math.log(c),
                                           rel=1e-12, abs=0.0)
         assert est.stderr == pytest.approx(base.stderr, rel=1e-9)
+
+
+class TestRescaledSingleWord:
+    """The value of one word is taken on the normalized letters: the
+    golden pair times c, whose raw word products underflow to 0 or
+    overflow at these scales, gets the answers of the golden pair."""
+
+    XI = PeriodicSequence(2, (1, 2))
+
+    @pytest.mark.parametrize("c", [1e-170, 1e-120, 1e120, 1e170])
+    def test_lyapunov_periodic(self, golden_pair, c):
+        base = lyapunov_periodic(golden_pair, self.XI).value
+        got = lyapunov_periodic(golden_pair.scaled(c), self.XI).value
+        assert got - math.log(c) == pytest.approx(base, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-170, 1e-120, 1e120, 1e170])
+    def test_verdict(self, golden_pair, c):
+        mu = PeriodicMeasure(self.XI)
+        base = extremality_verdict(golden_pair, mu, 6)
+        got = extremality_verdict(golden_pair.scaled(c), mu, 6)
+        assert base.verdict == got.verdict == "extremal"
+        assert got.gap == pytest.approx(base.gap, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-170, 1e-120, 1e120, 1e170])
+    def test_reverse_pipeline(self, golden_pair, c):
+        mu = PeriodicMeasure(self.XI)
+        base = measure_to_finiteness(golden_pair, mu, self.XI)
+        got = measure_to_finiteness(golden_pair.scaled(c), mu, self.XI)
+        assert base.success and got.success
+        assert ([(s.name, s.passed) for s in got.steps]
+                == [(s.name, s.passed) for s in base.steps])
+        assert got.certificate.value == pytest.approx(
+            c * base.certificate.value, rel=1e-12)
 
 
 class TestExtremalityVerdict:
@@ -337,6 +383,19 @@ class TestCorollaries:
         assert calls == [(1,)]
         assert report.finiteness.verdict == "inconclusive"
         assert "real leading eigenvalue" in report.finiteness.reason
+
+    def test_upper_bound_is_the_attained_norm(self, golden_pair, alternating):
+        # the alternating chain is extremal for the golden pair over 2, at
+        # rho = phi/2 < 1; the certificate proves rho <= the largest
+        # induced generator norm, which may exceed the value by rounding
+        fam = golden_pair.scaled(0.5)
+        report = corollary_reports(fam, alternating, depth=8)
+        assert report.finiteness.verdict == "certified"
+        _, _, attained = check_extremal_norm(
+            fam, report.finiteness.certificate, report.finiteness.value)
+        assert report.upper_bound >= attained
+        assert report.upper_bound == pytest.approx(PHI / 2, rel=1e-9)
+        assert f"{report.upper_bound:.12g} < 1" in report.stability_conclusion
 
     def test_golden_pair_not_applicable(self, golden_pair, uniform):
         report = corollary_reports(golden_pair, uniform, depth=8)

@@ -321,6 +321,33 @@ class TestCertifyFiniteness:
         ok, gap, _ = check_extremal_norm(fam, cert.certificate, cert.value)
         assert ok and gap == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("word", [(1, 2), (2, 1), (2, 1, 2, 1)])
+    def test_seed_is_the_words_leading_left_eigenvector(self, golden_pair,
+                                                         word):
+        # no rotation of the word is searched: the first vertex is the
+        # unit leading left eigenvector of the word's own product
+        prod = np.linalg.multi_dot([np.eye(2)]
+                                   + [golden_pair.mats[k - 1] for k in word])
+        ev, vecs = np.linalg.eig(prod.T)
+        v = vecs[:, np.argmax(np.abs(ev))].real
+        v /= np.linalg.norm(v)
+        cert = certify_finiteness(golden_pair, word)
+        assert cert.verdict == "certified"
+        first = cert.certificate.vertices[0]
+        assert np.allclose(first * np.sign(first @ v), v, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-170, 1e-120, 1e120, 1e170])
+    def test_rescaled_golden_pair(self, golden_pair, c):
+        # the raw product of (1,2,1,2,1,2) underflows or overflows at these
+        # scales; the normalized one gives the answer of c = 1
+        word = (1, 2, 1, 2, 1, 2)
+        base = certify_finiteness(golden_pair, word)
+        got = certify_finiteness(golden_pair.scaled(c), word)
+        assert base.verdict == got.verdict == "certified"
+        assert got.value == pytest.approx(c * base.value, rel=1e-12)
+        assert np.allclose(got.certificate.vertices,
+                           base.certificate.vertices, rtol=0, atol=1e-12)
+
     def test_complex_leading_eigenvalue_refused(self, rotation):
         cert = certify_finiteness(rotation, (1,))
         assert cert.verdict == "inconclusive"

@@ -265,6 +265,15 @@ class TestCliFiniteness:
                          "--word", "1"])
         assert code == 2
 
+    def test_huge_entries(self, capsys):
+        # the golden pair times 1e170: its raw word products overflow
+        code = cli.main(["finiteness", data_path("golden_huge.json"),
+                         "--word", "1,2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "value   1.61803398875e+170\n" in out
+        assert "verdict certified" in out
+
 
 class TestCliReduce:
     def test_shear(self, capsys):
@@ -363,6 +372,12 @@ class TestCliMainTheorem:
         out = capsys.readouterr().out
         assert code == 0
         assert "success: True" in out
+
+    def test_huge_entries(self, capsys):
+        code = cli.main(["main-theorem", data_path("golden_huge.json"),
+                         "--periodic", "1,2", "--xi", "1,2"])
+        assert code == 0
+        assert "success: True" in capsys.readouterr().out
 
     def test_density_failure(self, capsys):
         code = cli.main(["main-theorem", data_path("golden_pair.json"),

@@ -216,3 +216,24 @@ class TestAveragedValues:
             v1 = averaged_spectral_value(fam, (1, 2, 2))
             v2 = averaged_spectral_value(fam, (2, 2, 1))
             assert v1 == pytest.approx(v2, rel=1e-9, abs=1e-12)
+
+
+class TestRescaledValues:
+    """A word's values are taken on the normalized letters and the scale
+    multiplied back, so those of c S are c times those of S even where
+    the raw product of six letters underflows to 0 or overflows."""
+
+    WORD = (1, 2, 2, 1, 2, 1)
+
+    @pytest.mark.parametrize("c", [1e-170, 1e-120, 1e120, 1e170])
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_values_scale(self, c, cplx, seed):
+        rng = np.random.default_rng(seed)
+        mats = rng.standard_normal((2, 3, 3))
+        if cplx:
+            mats = mats + 1j * rng.standard_normal((2, 3, 3))
+        fam = MatrixFamily(mats)
+        for value in (averaged_spectral_value, averaged_norm_value):
+            assert value(fam.scaled(c), self.WORD) == pytest.approx(
+                c * value(fam, self.WORD), rel=1e-12, abs=0.0)

@@ -245,6 +245,19 @@ class TestInvariantSubspace:
     def test_irreducible_returns_none(self, golden_pair):
         assert find_invariant_subspace(golden_pair) is None
 
+    def test_uncertain_full_closure_raises(self):
+        # a 1e-9 coupling of diag(1, 2) makes the closure reach d^2 = 4
+        # through a residual within a factor 100 of RANK_TOL: that is no
+        # proof of irreducibility, and both calls say so
+        fam = MatrixFamily.from_matrices([np.diag([1.0, 2.0]),
+                                          [[1.0, 1e-9], [1e-9, 1.0]]])
+        alg = algebra_closure(fam)
+        assert alg.dimension == 4 and alg.uncertain
+        with pytest.raises(ToleranceConflictError):
+            find_invariant_subspace(fam)
+        with pytest.raises(ToleranceConflictError):
+            is_irreducible(fam)
+
     def test_shear_left_line(self, shear):
         w = find_invariant_subspace(shear)
         assert w is not None and w.shape == (1, 2)
