@@ -65,10 +65,12 @@ def lyapunov_exact_finite(family: MatrixFamily, mu: ShiftMeasure, n: int,
 def lyapunov_periodic(family: MatrixFamily, xi: PeriodicSequence) -> LyapunovEstimate:
     """(1/pi) log rho of the period product: the exact a.e. growth rate
     along the periodic orbit (Gelfand's formula), taken on the normalized
-    product as log rho(P)/pi + log scale, and -inf when rho(P) = 0."""
-    r = spectral_radius(_normalized_product(family, xi.period))
-    value = (math.log(r) / xi.period_length + math.log(family.scale)
-             if r > 0.0 else -math.inf)
+    product P 2^e as (log rho(P) + e log 2)/pi + log scale, and -inf when
+    rho(P) = 0."""
+    prod, exp = _normalized_product(family, xi.period)
+    r = spectral_radius(prod)
+    value = ((math.log(r) + exp * math.log(2.0)) / xi.period_length
+             + math.log(family.scale) if r > 0.0 else -math.inf)
     return LyapunovEstimate(value, "periodic-exact", xi.period_length)
 
 

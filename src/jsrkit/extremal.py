@@ -232,14 +232,15 @@ def certify_finiteness(family: MatrixFamily, word: Word,
                        vertex_budget: int = VERTEX_BUDGET) -> FinitenessCertificate:
     """Certify that a word attains the joint spectral radius.
 
-    One eigendecomposition of the word's normalized product P
-    (``normalized_mats``) gives the candidate value |lambda|^(1/n) scale
-    from its leading eigenvalue lambda, which must be nonzero, real (of
+    One eigendecomposition of the word's normalized product P 2^e
+    (``matrix_core._normalized_product``) gives the candidate value
+    |lambda|^(1/n) 2^(e/n) scale from the leading eigenvalue lambda of P,
+    which must be nonzero, real (of
     either sign: the polytope is balanced) and simple, and the seed, its
     leading left eigenvector.  No rotation of the word is tried: each has
     the spectrum of P, and its seed is the image of this one under a
     prefix, which the closure reaches anyway.  The closure runs on the
-    normalized generators over |lambda|^(1/n): every image that escapes
+    normalized generators over |lambda|^(1/n) 2^(e/n): every image that escapes
     the current balanced hull becomes a new vertex.  If it terminates,
     the polytope gauge is an extremal norm and the JSR equals the
     candidate value.  A closed vertex set that spans only an
@@ -255,11 +256,12 @@ def certify_finiteness(family: MatrixFamily, word: Word,
         raise ComplexFamilyError(
             "polytope certification supports real families only; "
             "use the bounds subcommand for complex input")
-    ev, vecs = np.linalg.eig(_normalized_product(family, word).T)
+    prod, exp = _normalized_product(family, word)
+    ev, vecs = np.linalg.eig(prod.T)
     order = np.argsort(-np.abs(ev))
     lead = ev[order[0]]
     mag = float(abs(lead))
-    rho_norm = mag ** (1.0 / len(word))
+    rho_norm = mag ** (1.0 / len(word)) * 2.0 ** (exp / len(word))
     rho_cand = rho_norm * family.scale
 
     def refuse(reason):

@@ -54,6 +54,14 @@ def parse_family(path: str | Path) -> MatrixFamily:
 
 
 def family_from_dict(doc: dict, source: str = "<dict>") -> MatrixFamily:
+    """The family of a parsed family document.
+
+    Two paths give the same family.  Matrices that are all numbers, or all
+    [re, im] pairs, of one square shape matching ``dim`` decode with one
+    ``np.array`` call (``_uniform_stack``); any other input, mixed entries
+    and every malformed document included, goes entry by entry
+    (``_entrywise_stack``), which names the first bad field.
+    """
     if not isinstance(doc, dict):
         raise FamilyFileError(f"{source}: top level must be an object")
     if str(doc.get("schema_version")) != SCHEMA_VERSION:
@@ -64,6 +72,37 @@ def family_from_dict(doc: dict, source: str = "<dict>") -> MatrixFamily:
     if not isinstance(matrices, list) or not matrices:
         raise FamilyFileError(f"{source}: 'matrices' must be a non-empty list")
     dim = doc.get("dim")
+    mats = _uniform_stack(matrices, dim)
+    if mats is None:
+        mats = _entrywise_stack(matrices, dim, source)
+    try:
+        return MatrixFamily(mats)
+    except ValueError as exc:
+        raise FamilyFileError(f"{source}: {exc}")
+
+
+def _uniform_stack(matrices: list, dim) -> np.ndarray | None:
+    """A (K, d, d) stack of finite entries that are all numbers (bool, int
+    or float) or all [re, im] pairs, with d equal to ``dim`` when given;
+    None for anything else.  Pairs are laid out as complex128 entries
+    bit for bit, as ``complex(re, im)`` builds them."""
+    try:
+        a = np.array(matrices)
+    except ValueError:  # ragged
+        return None
+    if a.dtype.kind not in "biuf" or a.ndim not in (3, 4) or a.shape[1] != a.shape[2]:
+        return None
+    if a.ndim == 4:
+        if a.shape[3] != 2:
+            return None
+        a = np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
+    if (dim is not None and a.shape[1] != dim) or not np.all(np.isfinite(a)):
+        return None
+    return a
+
+
+def _entrywise_stack(matrices: list, dim, source: str) -> np.ndarray:
+    # one entry at a time, so the first malformed field is named
     mats = []
     for mi, rows in enumerate(matrices, 1):
         if not isinstance(rows, list):
@@ -88,10 +127,7 @@ def family_from_dict(doc: dict, source: str = "<dict>") -> MatrixFamily:
     if len(dims) != 1:
         raise FamilyFileError(f"{source}: all members must share one "
                               f"dimension, got {sorted(dims)}")
-    try:
-        return MatrixFamily(np.stack(mats))
-    except ValueError as exc:
-        raise FamilyFileError(f"{source}: {exc}")
+    return np.stack(mats)
 
 
 def family_to_dict(family: MatrixFamily, labels=None) -> dict:

@@ -5,7 +5,10 @@ four operations here: spectral radius, operator norm, word products, and
 their nth-root averaged values.  The value of a word is taken on the
 letters over the family's scale (``MatrixFamily.normalized_mats``), whose
 products cannot overflow, with the scale multiplied back: the formula of
-the word walks, so a rescaled family gets the same answers.  A matrix or
+the word walks, so a rescaled family gets the same answers.  A product
+that shrinks below ``_kernels._SCREEN_FLOOR`` is raised by a power of 2,
+which is exact, and the power is carried along, so a long word of
+contracting letters does not underflow either.  A matrix or
 family is real when every imaginary part is exactly 0, the one realness
 rule of the package, and it is decided once, on input: a real one is
 stored as float64 and any other as complex128.  Every consumer computes
@@ -15,9 +18,12 @@ in the stored dtype.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import _kernels
 
 Word = tuple[int, ...]
 
@@ -57,14 +63,17 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(ev)))
 
 
-def operator_norm(a) -> float:
-    """Matrix norm induced by the Euclidean vector norm (largest singular value)."""
-    a = as_matrix(a)
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    # descending, of a matrix or of each matrix of a stack
     try:
-        s = np.linalg.svd(a, compute_uv=False)
+        return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular value iteration did not converge: {exc}") from exc
-    return float(s[0])
+
+
+def operator_norm(a) -> float:
+    """Matrix norm induced by the Euclidean vector norm (largest singular value)."""
+    return float(_singular_values(as_matrix(a))[0])
 
 
 @dataclass(frozen=True)
@@ -102,8 +111,9 @@ class MatrixFamily:
     @functools.cached_property
     def scale(self) -> float:
         """max_k ||S_k||, the natural magnitude of the family (computed on
-        first use; the stack is read-only)."""
-        return float(max(operator_norm(a) for a in self.mats))
+        first use; the stack is read-only), from one batched SVD that
+        gives each member's ``operator_norm`` bitwise."""
+        return float(_singular_values(self.mats)[:, 0].max())
 
     def normalized_mats(self) -> np.ndarray:
         """The stack over its scale (over 1 when the scale is 0), so every
@@ -141,29 +151,39 @@ def word_product(family: MatrixFamily, word: Word) -> np.ndarray:
     return prod
 
 
-def _normalized_product(family: MatrixFamily, word: Word) -> np.ndarray:
-    """The product of a non-empty word's letters from ``normalized_mats``,
-    left-to-right as the word walks multiply them: its 2-norm is at most 1,
-    so it cannot overflow, and it is the word's product over scale^n."""
+def _normalized_product(family: MatrixFamily, word: Word) -> tuple[np.ndarray, int]:
+    """(P, e) with P 2^e the product of a non-empty word's letters from
+    ``normalized_mats``, left-to-right as the word walks multiply them,
+    which is the word's product over scale^n.  The 2-norm of P is at most
+    1, so it cannot overflow.  Whenever the running product's Frobenius
+    norm falls below ``_kernels._SCREEN_FLOOR`` it is multiplied by the
+    power of 2 that lifts it into [1/2, 1), exactly, and e records it; a
+    product that never falls that low keeps its bits, with e = 0."""
     if len(word) < 1:
         raise ValueError("averaged values need a non-empty word")
     check_word(family, word)
     mats = family.normalized_mats()
-    prod = mats[word[0] - 1]
+    prod, exp = mats[word[0] - 1], 0
     for letter in word[1:]:
         prod = prod @ mats[letter - 1]
-    return prod
+        fro = float(np.linalg.norm(prod))
+        if 0.0 < fro < _kernels._SCREEN_FLOOR:
+            k = math.frexp(fro)[1]
+            prod, exp = prod * 2.0 ** -k, exp + k
+    return prod, exp
 
 
 def averaged_spectral_value(family: MatrixFamily, word: Word) -> float:
-    """rho(S_{i_1}...S_{i_n})^(1/n), taken as rho(P)^(1/n) scale on the
-    normalized product P, as the word walks value words."""
-    r = spectral_radius(_normalized_product(family, word))
-    return r ** (1.0 / len(word)) * family.scale
+    """rho(S_{i_1}...S_{i_n})^(1/n), taken as rho(P)^(1/n) 2^(e/n) scale
+    on the normalized product P 2^e, as the word walks value words."""
+    prod, exp = _normalized_product(family, word)
+    n = len(word)
+    return spectral_radius(prod) ** (1.0 / n) * 2.0 ** (exp / n) * family.scale
 
 
 def averaged_norm_value(family: MatrixFamily, word: Word) -> float:
-    """||S_{i_1}...S_{i_n}||^(1/n), taken as ||P||^(1/n) scale on the
-    normalized product P, as the word walks value words."""
-    n = operator_norm(_normalized_product(family, word))
-    return n ** (1.0 / len(word)) * family.scale
+    """||S_{i_1}...S_{i_n}||^(1/n), taken as ||P||^(1/n) 2^(e/n) scale on
+    the normalized product P 2^e, as the word walks value words."""
+    prod, exp = _normalized_product(family, word)
+    n = len(word)
+    return operator_norm(prod) ** (1.0 / n) * 2.0 ** (exp / n) * family.scale

@@ -8,6 +8,10 @@ closure below d^2 leaves it whole only with a proof.  Reducible families
 are repeatedly split along invariant subspaces into a lower-block-
 triangular form whose diagonal blocks are irreducible; the block with the
 largest joint spectral radius carries the whole family's growth rate.
+A split of dimension m whose parent closure has dimension d^2 - m(d - m)
+ends the recursion there: that closure is the whole lower-block-
+triangular algebra, whose diagonal blocks carry full matrix algebras, so
+both blocks are irreducible (Burnside) without closures of their own.
 
 Subspace invariance uses the row-vector convention (x maps to x S_k);
 transpose the family for the column convention.
@@ -15,6 +19,7 @@ transpose the family for the column convention.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -175,11 +180,12 @@ def _split(family: MatrixFamily, alg: AlgebraResult, seed: int) -> np.ndarray | 
     # (the real parts alone for a real family); the sum adds the terms in
     # basis order, one at a time (a BLAS contraction rounds differently,
     # and the transform block_triangularize builds from the subspace is
-    # not continuous in it)
+    # not continuous in it).  A probe is built only when it is tried: the
+    # first one nearly always splits.
     z = np.random.default_rng(seed).standard_normal((_ATTEMPTS, 2, alg.dimension))
     coeffs = z[:, 0] if real else z[:, 0] + 1j * z[:, 1]
-    probes = np.concatenate([(coeffs[:, :, None, None] * basis).sum(axis=1),
-                             basis, family.mats])
+    probes = itertools.chain(((c[:, None, None] * basis).sum(axis=0) for c in coeffs),
+                             basis, family.mats)
     for r in probes:
         try:
             eigvecs = np.linalg.eig(r.T)[1]
@@ -283,13 +289,23 @@ def block_triangularize(family: MatrixFamily, seed: int = 0) -> ReductionResult:
     unitary (nested orthonormal completions), so it is as well-conditioned
     as possible.  One algebra closure per split decides irreducibility
     (raising ToleranceConflictError when uncertain) and seeds the subspace
-    search."""
+    search.
+
+    A verified split of dimension m leaves the family's algebra inside the
+    lower-block-triangular matrices of that layout, an algebra of dimension
+    m^2 + (d - m)^2 + m(d - m) = d^2 - m(d - m).  When the certain closure
+    has exactly that dimension it is all of them, so each diagonal block
+    of the family generates the full matrix algebra of its size (over the
+    reals for a real family, and so over C too) and is irreducible: both
+    blocks are returned as they are, with no closure of their own.  Below
+    that dimension the blocks are split again."""
     d = family.dim
-    w = (None if d == 1 else
-         _invariant_subspace(family, _certain(algebra_closure(family)), seed))
+    if d == 1:
+        return _whole(family)
+    alg = _certain(algebra_closure(family))
+    w = _invariant_subspace(family, alg, seed)
     if w is None:  # irreducible
-        return ReductionResult(family, np.eye(d, dtype=family.mats.dtype),
-                               (d,), (family,))
+        return _whole(family)
     m = w.shape[0]
     _, _, vh = np.linalg.svd(w)
     p_inv = vh  # first m rows span the invariant subspace
@@ -297,14 +313,23 @@ def block_triangularize(family: MatrixFamily, seed: int = 0) -> ReductionResult:
     t = np.einsum("ij,kjl,lm->kim", p_inv, family.mats, p)
     top = MatrixFamily(np.ascontiguousarray(t[:, :m, :m]))
     bottom = MatrixFamily(np.ascontiguousarray(t[:, m:, m:]))
-    r_top = block_triangularize(top, seed=seed)
-    r_bottom = block_triangularize(bottom, seed=seed)
+    if alg.dimension == d * d - m * (d - m):  # both blocks irreducible
+        r_top, r_bottom = _whole(top), _whole(bottom)
+    else:
+        r_top = block_triangularize(top, seed=seed)
+        r_bottom = block_triangularize(bottom, seed=seed)
     q = np.zeros((d, d), dtype=family.mats.dtype)
     q[:m, :m] = r_top.transform
     q[m:, m:] = r_bottom.transform
     return ReductionResult(family, p @ q,
                            r_top.block_sizes + r_bottom.block_sizes,
                            r_top.blocks + r_bottom.blocks)
+
+
+def _whole(family: MatrixFamily) -> ReductionResult:
+    # an irreducible family is its own single block
+    return ReductionResult(family, np.eye(family.dim, dtype=family.mats.dtype),
+                           (family.dim,), (family,))
 
 
 @dataclass(frozen=True)

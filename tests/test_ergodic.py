@@ -39,6 +39,15 @@ class TestLyapunovPeriodic:
         est = lyapunov_periodic(golden_pair, PeriodicSequence(2, (1,)))
         assert est.value == pytest.approx(0.0, abs=1e-12)
 
+    def test_long_contracting_period(self):
+        # the normalized product of R and 60 letters 1e-6 R is 1e-360 R^61,
+        # below the smallest double: log rho = -360 log 10 over 61 letters
+        c, s = np.cos(0.3), np.sin(0.3)
+        r = np.array([[c, -s], [s, c]])
+        fam = MatrixFamily(np.stack([r, 1e-6 * r]))
+        est = lyapunov_periodic(fam, PeriodicSequence(2, (1,) + (2,) * 60))
+        assert est.value == pytest.approx(-360 * math.log(10) / 61, rel=1e-12)
+
     def test_zero_product_is_neg_inf(self):
         fam = MatrixFamily.from_matrices([np.zeros((2, 2))])
         est = lyapunov_periodic(fam, PeriodicSequence(1, (1,)))

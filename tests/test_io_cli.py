@@ -100,6 +100,78 @@ class TestFamilyFiles:
         assert fam.mats[0, 0, 1] == complex(*np.atleast_1d(entry))
 
 
+def entrywise(doc):
+    """The family of the entry-by-entry decode, the reference for the
+    one-call path."""
+    return MatrixFamily(io._entrywise_stack(doc["matrices"], doc.get("dim"),
+                                            "<dict>"))
+
+
+# documents the one-call path takes
+UNIFORM_DOCS = {
+    "floats": [[[0.1, -2.5], [1e-300, 3.0]], [[-0.0, 1e300], [2.0, 0.5]]],
+    "ints": [[[1, -2], [3, 4]], [[0, 7], [-5, 0]]],
+    "bools": [[[True, False], [False, True]]],
+    "bools-ints-floats": [[[True, 2], [0.5, -1]]],
+    "ints-above-2**53": [[[2 ** 53 + 1, -(2 ** 60) - 3], [2 ** 62 + 1, 1]]],
+    "ints-above-2**63": [[[2 ** 63 + 1025, 2 ** 64 - 1], [1, 0]]],
+    "ints-above-2**63-signed": [[[2 ** 63 + 1025, -1], [2 ** 53 + 3, 0]]],
+    "pairs": [[[[1, 0.5], [-0.0, 0]], [[2 ** 53 + 1, -1], [0.25, -0.0]]],
+              [[[0, 1], [3, 0]], [[True, 0], [-2, 1e-310]]]],
+    "real-pairs": [[[[1, 0], [2, 0]], [[3, 0], [-0.0, 0]]]],
+    "1x1": [[[2.5]], [[-1]]],
+    "1x1-pair": [[[[0, 1]]]],
+}
+
+
+class TestFamilyDecode:
+    @pytest.mark.parametrize("name", sorted(UNIFORM_DOCS))
+    def test_one_call_path_is_the_entrywise_family(self, name):
+        doc = {"schema_version": "1", "matrices": UNIFORM_DOCS[name]}
+        assert io._uniform_stack(doc["matrices"], None) is not None
+        got, want = io.family_from_dict(doc), entrywise(doc)
+        assert got.mats.dtype == want.mats.dtype
+        assert got.mats.shape == want.mats.shape
+        assert got.mats.tobytes() == want.mats.tobytes()
+
+    def test_mixed_entries_decode_entry_by_entry(self):
+        doc = {"schema_version": "1", "dim": 2,
+               "matrices": [[[1, [0, 1]], [0.5, 2]], [[[2, 0], 0], [0, 1]]]}
+        assert io._uniform_stack(doc["matrices"], 2) is None
+        fam = io.family_from_dict(doc)
+        assert fam.mats.tolist() == [[[1, 1j], [0.5, 2]], [[2, 0], [0, 1]]]
+        assert io.parse_family(data_path("mixed_entries.json")).dim == 3
+
+    @pytest.mark.parametrize("text, message", [
+        ('[[[1, "2"], [0, 1]]]',
+         "<dict>: matrix 1 row 1 col 2: entry must be a number or a "
+         "[re, im] pair, got '2'"),
+        ('[[[1, [1, 2, 3]], [0, 1]]]',
+         "<dict>: matrix 1 row 1 col 2: entry must be a number or a "
+         "[re, im] pair, got [1, 2, 3]"),
+        ('[[[1, 0], [0, 1]], [[NaN, 0], [0, 1]]]',
+         "<dict>: matrix 2 has NaN/inf entries"),
+        ('[[[1, Infinity], [0, 1]]]', "<dict>: matrix 1 has NaN/inf entries"),
+        ('[[[[0, -Infinity], 0], [0, 1]]]', "<dict>: matrix 1 has NaN/inf entries"),
+        ('[[[1, 2], [3]]]', "<dict>: matrix 1 row 2 has length 1, expected 2"),
+        ('[[[1, 2, 3], [4, 5, 6]]]', "<dict>: matrix 1 row 1 has length 3, expected 2"),
+        ('[[[1, 2], 3]]', "<dict>: matrix 1 row 2 has length n/a, expected 2"),
+        ('[[[1, 0], [0, 1]], [[1]]]',
+         "<dict>: all members must share one dimension, got [1, 2]"),
+    ])
+    def test_diagnostics_word_for_word(self, text, message):
+        doc = {"schema_version": "1", "matrices": json.loads(text)}
+        with pytest.raises(io.FamilyFileError) as exc:
+            io.family_from_dict(doc)
+        assert str(exc.value) == message
+
+    def test_wrong_dim_word_for_word(self):
+        doc = {"schema_version": "1", "dim": 3, "matrices": [[[1, 0], [0, 1]]]}
+        with pytest.raises(io.FamilyFileError) as exc:
+            io.family_from_dict(doc)
+        assert str(exc.value) == "<dict>: matrix 1 has 2 rows, expected dim 3"
+
+
 class TestMeasureParsing:
     def test_markov_with_p(self):
         mu = io.parse_markov(data_path("asymmetric_markov.json"))
@@ -281,6 +353,17 @@ class TestCliReduce:
         out = capsys.readouterr().out
         assert code == 0
         assert "sizes [1, 1]" in out
+
+
+    def test_three_blocks(self, tmp_path, capsys):
+        # the (1, 2, 2) layout: one split recurses, the other ends by the
+        # closure dimension
+        out = tmp_path / "three_blocks.json"
+        code = cli.main(["reduce", data_path("three_blocks.json"), "--out", str(out)])
+        assert code == 0
+        assert "sizes [1, 2, 2]" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert report["results"]["reduction"]["block_sizes"] == [1, 2, 2]
 
 
 class TestCliNormCheck:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from jsrkit import (MatrixFamily, averaged_norm_value, averaged_spectral_value,
                     operator_norm, spectral_radius, word_product)
-from jsrkit.matrix_core import as_matrix, check_word
+from jsrkit.matrix_core import ConvergenceError, as_matrix, check_word
 
 from conftest import PHI, PHI_SQ, random_family
 
@@ -129,6 +129,32 @@ class TestMatrixFamily:
         assert fam.scale == want and fam.is_real
         assert calls == []
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scale_is_each_operator_norm_bitwise(self, seed, cplx):
+        # one batched SVD, bit for bit the largest of the K single ones
+        rng = np.random.default_rng(seed)
+        k, d = 1 + seed % 3, 1 + seed
+        mats = rng.standard_normal((k, d, d))
+        if cplx:
+            mats = mats + 1j * rng.standard_normal((k, d, d))
+        fam = MatrixFamily(mats)
+        assert fam.scale == max(operator_norm(a) for a in fam.mats)
+
+    @pytest.mark.parametrize("mats", [np.zeros((2, 3, 3)),
+                                      np.full((2, 2, 2), 5e-324),
+                                      [[[1e-310, 2e-320], [0.0, -3e-309]]]])
+    def test_scale_of_zero_and_subnormal_families(self, mats):
+        fam = MatrixFamily(mats)
+        assert fam.scale == max(operator_norm(a) for a in fam.mats)
+
+    def test_scale_svd_failure_is_convergence_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            random_family(0).scale
+
     def test_mixed_dims_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             MatrixFamily.from_matrices([np.eye(2), np.eye(3)])
@@ -216,6 +242,32 @@ class TestAveragedValues:
             v1 = averaged_spectral_value(fam, (1, 2, 2))
             v2 = averaged_spectral_value(fam, (2, 2, 1))
             assert v1 == pytest.approx(v2, rel=1e-9, abs=1e-12)
+
+
+class TestLongContractingWord:
+    """The normalized product of R and 60 letters 1e-6 R, R a rotation, is
+    1e-360 R^61, below the smallest double: it is carried as P 2^e."""
+
+    def test_values(self):
+        c, s = np.cos(0.3), np.sin(0.3)
+        r = np.array([[c, -s], [s, c]])
+        fam = MatrixFamily(np.stack([r, 1e-6 * r]))
+        word = (1,) + (2,) * 60
+        want = 10.0 ** (-360 / 61)  # about 1.2542e-6
+        assert averaged_spectral_value(fam, word) == pytest.approx(want, rel=1e-12)
+        assert averaged_norm_value(fam, word) == pytest.approx(want, rel=1e-12)
+
+    def test_short_product_keeps_its_bits(self):
+        # a product that stays above the floor is the plain normalized one
+        fam = random_family(2, k=2, d=3)
+        word = (1, 2, 2, 1, 2)
+        prod = fam.normalized_mats()[0]
+        for letter in word[1:]:
+            prod = prod @ fam.normalized_mats()[letter - 1]
+        assert averaged_spectral_value(fam, word) == (
+            spectral_radius(prod) ** (1.0 / 5) * fam.scale)
+        assert averaged_norm_value(fam, word) == (
+            operator_norm(prod) ** (1.0 / 5) * fam.scale)
 
 
 class TestRescaledValues:

@@ -388,6 +388,32 @@ class TestRealReduction:
         tilted = MatrixFamily(mats + 1e-300j)
         assert algebra_closure(tilted).basis.dtype == np.complex128
 
+    def test_complex_type_block_is_proven_over_reals(self, monkeypatch):
+        # a realified complex 2x2 block (real algebra M_2(C), of dimension
+        # 8 < 16) above a real coupling to a real 2x2 block: the family's
+        # algebra has dimension at most 8 + 4 + 2*4 = 20, below the 36 -
+        # 4*2 = 28 of the split, so the split does not end there, and the
+        # 4x4 block's own closure is kept whole by the proof over the reals
+        rng = np.random.default_rng(3)
+        mats = np.zeros((2, 6, 6))
+        mats[:, :4, :4] = REAL_IRREDUCIBLE["realified-complex-pair"]
+        mats[:, 4:, 4:] = rng.standard_normal((2, 2, 2))
+        mats[:, 4:, :4] = rng.standard_normal((2, 2, 4))
+        q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        fam = MatrixFamily(q.T @ mats @ q)
+        assert algebra_closure(fam).dimension < 36 - 4 * 2
+        proofs = []
+        prove = reduction._irreducible_over_reals
+
+        def recorded(f, alg):
+            proofs.append((f.dim, prove(f, alg)))
+            return proofs[-1][1]
+        monkeypatch.setattr(reduction, "_irreducible_over_reals", recorded)
+        r = block_triangularize(fam)
+        assert r.block_sizes == (4, 2)
+        assert proofs == [(4, True)]
+        assert r.reconstruction_residual() <= 1e-12
+
     def test_scalar_plane_is_not_proven_irreducible(self):
         # every real line is invariant, and the commutant M_2(R) has
         # dimension 4 = d^2 / dim(A): only the trace form refuses it
@@ -434,15 +460,53 @@ class TestBlockTriangularize:
             assert np.allclose(seg, b.mats, atol=1e-10)
 
     def test_one_closure_per_split(self, monkeypatch):
-        # sizes (1, 2): the whole family and the 2x2 block each need one
-        # closure (it decides irreducibility and seeds the subspace
-        # search); the 1x1 block needs none
+        # sizes (1, 2) with a generic coupling: the whole family's closure
+        # decides reducibility and seeds the subspace search, and its
+        # dimension 9 - 1*2 = 7 proves both blocks irreducible, so neither
+        # needs a closure of its own
         calls = []
         monkeypatch.setattr(reduction, "algebra_closure",
                             lambda fam: calls.append(fam.dim) or algebra_closure(fam))
         fam, _ = conjugated_block_family(3, sizes=(1, 2))
         assert block_triangularize(fam, seed=3).block_sizes == (1, 2)
+        assert sorted(calls) == [3]
+
+    def test_zero_coupling_recurses(self, monkeypatch):
+        # block-diagonal (1, 2): the algebra M_1 + M_2 has dimension 5,
+        # below 9 - 1*2 = 7, so the split does not end there and the 2x2
+        # block, whichever side it lands on, gets a closure of its own
+        rng = np.random.default_rng(5)
+        mats = np.zeros((2, 3, 3))
+        mats[:, :1, :1] = rng.standard_normal((2, 1, 1))
+        mats[:, 1:, 1:] = rng.standard_normal((2, 2, 2))
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        fam = MatrixFamily(q.T @ mats @ q)
+        assert algebra_closure(fam).dimension == 5
+        calls = []
+        monkeypatch.setattr(reduction, "algebra_closure",
+                            lambda fam: calls.append(fam.dim) or algebra_closure(fam))
+        r = block_triangularize(fam)
+        assert sorted(r.block_sizes) == [1, 2]
         assert sorted(calls) == [2, 3]
+        assert all(is_irreducible(b) for b in r.blocks)
+        assert r.reconstruction_residual() <= 1e-12
+
+    @pytest.mark.parametrize("sizes", [(1, 2), (2, 2), (1, 1, 2), (2, 3),
+                                       (1, 2, 2), (3, 1, 2), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_layouts(self, sizes, cplx, seed):
+        # every block found is irreducible, whether a closure of its own or
+        # the dimension of its parent's proved it, and the layout is the
+        # planted one (generic couplings leave one invariant flag)
+        fam, _ = conjugated_block_family(
+            seed, sizes, spectral_scales=(1.0, 0.6, 0.8, 0.7)[:len(sizes)],
+            cplx=cplx)
+        assert fam.is_real == (not cplx)
+        r = block_triangularize(fam, seed=seed)
+        assert r.block_sizes == sizes
+        assert all(is_irreducible(b) for b in r.blocks)
+        assert r.reconstruction_residual() <= 1e-10
 
     def test_uncertain_closure_raises(self, monkeypatch):
         def uncertain(fam):
