@@ -44,13 +44,13 @@ sum over support words and the Monte Carlo average over sampled paths),
 walks the same tree to a fixed depth b once: levels 1..b hold the
 product of every block of up to b letters, at most ``_BLOCK_PRODUCTS``
 of them, indexed by the block's base-K code.  Every path then advances b
-letters per step, one gather and one stacked matmul, and is rescaled
-every RENORM_EVERY letters.  b is the largest power of two up to
-RENORM_EVERY with K^b <= 256 (K = 2 gives 8, K = 3 gives 4).  The final
-2-norm of each path is lambda_max(P^H P)^(1/2) from ``eigvalsh``, not an
-SVD: from 64 products a call it is 1.5-2.5x faster, but it costs about
-14 us a call more, so below about 16 products, where the screened scans
-value theirs, ``two_norms`` stays an SVD.
+letters per step, one gather and one stacked matmul, each product kept
+as an exact power of 2 times a unit one (``unit_scale``).  b is the
+largest power of two up to RENORM_EVERY with K^b <= 256 (K = 2 gives 8,
+K = 3 gives 4).  The final 2-norm of a path is lambda_max(P^H P)^(1/2)
+by ``eigvalsh``, not an SVD: from 64 products a call it is 1.5-2.5x
+faster, but it costs about 14 us a call more, so below about 16 products
+(the screened scans value fewer) ``two_norms`` stays an SVD.
 """
 
 from __future__ import annotations
@@ -343,59 +343,63 @@ def _block_length(k: int) -> int:
     return b
 
 
+def unit_scale(prods):
+    """(Q, e) with Q = P 2^-e exactly for each product P of the stack, e
+    the binary exponent of P's Frobenius norm (below ``_SCREEN_FLOOR``,
+    where its squares may underflow, of its largest entry modulus), so
+    that this magnitude of Q lies in [1/2, 1); e = 0 for a zero P."""
+    f = frobenius(prods)
+    tiny = f < _SCREEN_FLOOR
+    if tiny.any():
+        f[tiny] = np.abs(prods[tiny]).max(axis=(1, 2))
+    e = np.frexp(f)[1]
+    flat = prods.view(np.float64) if np.iscomplexobj(prods) else prods
+    return np.ldexp(flat, -e[:, None, None]).view(prods.dtype), e
+
+
 def path_log_norms(mats, paths):
-    """Per-path (1/L) log ||S_{i_1} ... S_{i_L}|| with running rescaling.
+    """Per-path (1/L) log ||S_{i_1} ... S_{i_L}||.
 
     Levels 1..b of the word walk (``children``, b from ``_block_length``)
     hold the product of every block of up to b letters at its base-K
     code.  A path takes a head step of h = 1..b letters from level h, so
     that L - h is whole blocks, then one gather from level b and one
-    stacked matmul per block.  It is rescaled every RENORM_EVERY / b
-    steps, the head counted: after every RENORM_EVERY letters when b
-    divides L, as in a letter-by-letter walk, and else b - h letters
-    sooner.  A path whose rescale finds a zero product has -inf.
+    stacked matmul per block.  ``unit_scale`` keeps as (Q, e) the letters,
+    those two levels and the running products every RENORM_EVERY / b steps
+    (the head counted: every RENORM_EVERY letters when b divides L, else
+    b - h letters sooner), exactly: only a product that underflows within
+    one such window (a zero one) has -inf.
 
-    A last rescale leaves ||P||_F = 1 (or, see ``_rescale``, a largest
-    entry of modulus 1), so lambda_max(P^H P) >= 1/d: ||P||_2 is its
-    root, by ``eigvalsh`` of the Gram matrix, whose squares neither
-    underflow nor give a false -inf.  That beats an SVD from about 16
-    products a call, and an estimate values 64 and more; ``two_norms``
-    stays an SVD for the few a screened scan values per call.
+    A last scaling leaves lambda_max(Q^H Q) >= 1/4: ||Q||_2 is its root,
+    by ``eigvalsh`` of the Gram matrix, whose squares do not underflow,
+    and the log is (e log 2 + log ||Q||_2)/L.  That beats an SVD from
+    about 16 products a call, and an estimate values 64 and more;
+    ``two_norms`` stays an SVD for the few a screened scan values per call.
     """
     n_paths, length = paths.shape
     k, d, _ = mats.shape
     b = _block_length(k)
     head = (length - 1) % b + 1
-    levels = [np.eye(d, dtype=mats.dtype)[None]]
+    letters, shift = unit_scale(mats)
+    levels, exps = [np.eye(d, dtype=mats.dtype)[None]], [np.zeros(1, np.int64)]
     for _ in range(b if length > b else head):
-        levels.append(children(levels[-1], mats))
+        levels.append(children(levels[-1], letters))
+        exps.append((exps[-1][:, None] + shift).ravel())
+    for h in {head, len(levels) - 1}:  # the two levels a path gathers from
+        levels[h], lift = unit_scale(levels[h])
+        exps[h] += lift
     weights = k ** np.arange(b - 1, -1, -1)
     blocks = paths[:, head:].reshape(n_paths, (length - head) // b, b) @ weights
-    prods = levels[head][paths[:, :head] @ weights[b - head:]]
-    acc = np.zeros(n_paths)
-    dead = np.zeros(n_paths, bool)
+    first = paths[:, :head] @ weights[b - head:]
+    prods = levels[head][first]
+    e = exps[head][first] + exps[-1][blocks].sum(axis=1)
     every = RENORM_EVERY // b
     for s in range(blocks.shape[1]):
         if s % every == every - 1:
-            _rescale(prods, acc, dead)
-        prods = prods @ levels[b][blocks[:, s]]
-    _rescale(prods, acc, dead)
+            prods, lift = unit_scale(prods)
+            e += lift
+        prods = prods @ levels[-1][blocks[:, s]]
+    prods, lift = unit_scale(prods)
     lam = np.linalg.eigvalsh(_gram(prods))[:, -1]
-    logs = np.log(lam, where=~dead, out=np.full(n_paths, -np.inf))
-    return (acc + 0.5 * logs) / length
-
-
-def _rescale(prods, acc, dead):
-    """Divide each product by its Frobenius norm in place, adding the log
-    of the norm to ``acc``; a zero product marks its path ``dead``.  Below
-    ``_SCREEN_FLOOR``, where the squares summed into the norm may
-    underflow to 0, the largest modulus of an entry divides instead, so
-    only a product that is 0 is taken for one."""
-    f = frobenius(prods)
-    tiny = f < _SCREEN_FLOOR
-    if tiny.any():
-        f[tiny] = np.abs(prods[tiny]).max(axis=(1, 2))
-    dead |= f == 0.0
-    f[dead] = 1.0
-    prods /= f[:, None, None]
-    acc += np.log(f)
+    logs = np.log(lam, where=lam > 0.0, out=np.full(n_paths, -np.inf))
+    return ((e + lift) * np.log(2.0) + 0.5 * logs) / length

@@ -2,8 +2,9 @@
 extremality verdicts, and the pipelines tying periodic density points to
 finiteness witnesses in both directions.
 
-All product accumulation is done in log scale with periodic rescaling;
-minus infinity is a first-class value (zero products), never a NaN.
+Every product is kept as an exact power of 2 times a unit one
+(``_kernels.unit_scale``); minus infinity is a first-class value (zero
+products), never a NaN.
 """
 
 from __future__ import annotations
@@ -55,10 +56,9 @@ def lyapunov_exact_finite(family: MatrixFamily, mu: ShiftMeasure, n: int,
             f"{word_budget}; use lyapunov_monte_carlo")
     words, probs = support_walk(mu, n)
     # a zero product (or family) has log norm -inf, and then so has the sum
-    scale = family.scale or 1.0
     live = probs > 0.0
     logs = (_kernels.path_log_norms(family.normalized_mats(), words[live])
-            + math.log(scale))
+            + math.log(family.scale or 1.0))
     return LyapunovEstimate(float(probs[live] @ logs), "exact-finite-n", n)
 
 
@@ -104,18 +104,15 @@ def lyapunov_monte_carlo(family: MatrixFamily, mu: MarkovMeasure,
                          seed: int = 0) -> LyapunovEstimate:
     """Sampled (1/length) log product norm, averaged across seeded paths.
 
-    The running product is rescaled to unit norm every few steps with the
-    log accumulated separately, so path length is not limited by floating
-    point range.
+    Products are kept as exact powers of 2 times unit ones, so path length
+    is not limited by floating point range; a zero family gives -inf, as
+    a zero product does.
     """
     if length < 1 or samples < 2:
         raise ValueError("need length >= 1 and samples >= 2")
     paths = sample_paths(mu, samples, length, seed)
-    scale = family.scale
-    if scale == 0.0:
-        return LyapunovEstimate(-math.inf, "monte-carlo", samples)
     vals = (_kernels.path_log_norms(family.normalized_mats(), paths)
-            + math.log(scale))
+            + math.log(family.scale or 1.0))
     if np.any(np.isneginf(vals)):
         return LyapunovEstimate(-math.inf, "monte-carlo", samples)
     mean = float(np.mean(vals))

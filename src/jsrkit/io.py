@@ -35,11 +35,12 @@ class FamilyFileError(ValueError):
 
 
 def _decode_entry(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2 and all(
-            isinstance(x, (int, float)) for x in entry):
-        return complex(entry[0], entry[1])
+    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
+    if all(isinstance(x, (int, float)) for x in parts):
+        try:
+            return complex(*parts)
+        except OverflowError:  # an integer beyond the float range
+            raise FamilyFileError(f"{where}: integer entry is beyond the float range")
     raise FamilyFileError(f"{where}: entry must be a number or a [re, im] pair, "
                           f"got {entry!r}")
 

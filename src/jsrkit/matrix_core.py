@@ -6,19 +6,18 @@ their nth-root averaged values.  The value of a word is taken on the
 letters over the family's scale (``MatrixFamily.normalized_mats``), whose
 products cannot overflow, with the scale multiplied back: the formula of
 the word walks, so a rescaled family gets the same answers.  A product
-that shrinks below ``_kernels._SCREEN_FLOOR`` is raised by a power of 2,
-which is exact, and the power is carried along, so a long word of
-contracting letters does not underflow either.  A matrix or
-family is real when every imaginary part is exactly 0, the one realness
-rule of the package, and it is decided once, on input: a real one is
-stored as float64 and any other as complex128.  Every consumer computes
-in the stored dtype.
+that shrinks below ``_kernels._SCREEN_FLOOR`` is scaled by the one rule
+for every product, ``_kernels.unit_scale``: an exact power of 2, carried
+as an integer, so a long word of contracting letters does not underflow
+either.  A matrix or family is real when every imaginary part is exactly
+0, the one realness rule of the package, and it is decided once, on
+input: a real one is stored as float64 and any other as complex128.
+Every consumer computes in the stored dtype.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,9 +155,9 @@ def _normalized_product(family: MatrixFamily, word: Word) -> tuple[np.ndarray, i
     ``normalized_mats``, left-to-right as the word walks multiply them,
     which is the word's product over scale^n.  The 2-norm of P is at most
     1, so it cannot overflow.  Whenever the running product's Frobenius
-    norm falls below ``_kernels._SCREEN_FLOOR`` it is multiplied by the
-    power of 2 that lifts it into [1/2, 1), exactly, and e records it; a
-    product that never falls that low keeps its bits, with e = 0."""
+    norm falls below ``_kernels._SCREEN_FLOOR`` it is scaled by
+    ``_kernels.unit_scale``, exactly, and e records the power; a product
+    that never falls that low keeps its bits, with e = 0."""
     if len(word) < 1:
         raise ValueError("averaged values need a non-empty word")
     check_word(family, word)
@@ -166,10 +165,9 @@ def _normalized_product(family: MatrixFamily, word: Word) -> tuple[np.ndarray, i
     prod, exp = mats[word[0] - 1], 0
     for letter in word[1:]:
         prod = prod @ mats[letter - 1]
-        fro = float(np.linalg.norm(prod))
-        if 0.0 < fro < _kernels._SCREEN_FLOOR:
-            k = math.frexp(fro)[1]
-            prod, exp = prod * 2.0 ** -k, exp + k
+        if np.linalg.norm(prod) < _kernels._SCREEN_FLOOR:
+            (prod,), (lift,) = _kernels.unit_scale(prod[None])
+            exp += int(lift)
     return prod, exp
 
 

@@ -199,6 +199,33 @@ class TestLyapunovMonteCarlo:
             lyapunov_monte_carlo(golden_pair, uniform, 1, 10)
 
 
+class TestContractingLetter:
+    """R a rotation and S_2 = 1e-11 R, under the measure that stays on
+    letter 2: products of its 8-letter blocks underflow within one window
+    of RENORM_EVERY letters unless every product is scaled exactly, and
+    the exponent is log 1e-11 exactly."""
+
+    WANT = math.log(1e-11)   # -25.328436022934504
+
+    @pytest.fixture
+    def setting(self):
+        c, s = np.cos(1.0), np.sin(1.0)
+        r = np.array([[c, -s], [s, c]])
+        fam = MatrixFamily(np.stack([r, 1e-11 * r]))
+        mu = MarkovMeasure(np.array([0.0, 1.0]),
+                           np.array([[0.5, 0.5], [0.0, 1.0]]))
+        return fam, mu
+
+    def test_monte_carlo(self, setting):
+        est = lyapunov_monte_carlo(*setting, 8, 200, seed=0)
+        assert est.value == pytest.approx(self.WANT, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [31, 32, 40, 64])
+    def test_exact_finite(self, setting, n):
+        est = lyapunov_exact_finite(*setting, n)
+        assert est.value == pytest.approx(self.WANT, rel=1e-12)
+
+
 class TestRescaling:
     """Both Lyapunov estimates of c S are those of S plus log c: no
     decision of the product kernel changes when the input is rescaled."""

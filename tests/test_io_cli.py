@@ -165,6 +165,19 @@ class TestFamilyDecode:
             io.family_from_dict(doc)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("matrices, where", [
+        ([[[10 ** 400]]], "row 1 col 1"),
+        ([[[1, 0.5], [10 ** 400, [0, 1]]]], "row 2 col 1"),
+        ([[[[0, -(10 ** 400)]]]], "row 1 col 1"),
+        ([[[1, [2, 0]], [0, [10 ** 400, 0]]]], "row 2 col 2"),
+    ], ids=["number", "number-mixed", "pair", "pair-mixed"])
+    def test_integer_beyond_float_range(self, matrices, where):
+        doc = {"schema_version": "1", "matrices": matrices}
+        with pytest.raises(io.FamilyFileError) as exc:
+            io.family_from_dict(doc)
+        assert str(exc.value) == (f"<dict>: matrix 1 {where}: integer entry "
+                                  "is beyond the float range")
+
     def test_wrong_dim_word_for_word(self):
         doc = {"schema_version": "1", "dim": 3, "matrices": [[[1, 0], [0, 1]]]}
         with pytest.raises(io.FamilyFileError) as exc:

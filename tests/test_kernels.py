@@ -543,6 +543,26 @@ class TestCanonicalMask:
         assert words.shape == (0, 5) and lengths.size == lyndon.size == 0
 
 
+class TestUnitScale:
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_exact_powers_of_two(self, cplx):
+        # Q 2^e is P bit for bit, and ||Q||_F lies in [1/2, 1); below the
+        # screen floor the largest entry does instead; 0 keeps e = 0
+        rng = np.random.default_rng(7)
+        prods = _stack(rng, 6, 3, cplx)
+        prods *= np.array([1.0, 1e-300, 1e150, 1e-320, 0.0, 3.0])[:, None, None]
+        q, e = _kernels.unit_scale(prods)
+        assert q.dtype == prods.dtype and e.dtype.kind == "i"
+        for p, qi, ei in zip(prods, q, e):
+            assert np.array_equal(
+                np.ldexp(qi.view(np.float64), ei).view(p.dtype), p)
+        f = _kernels.frobenius(q[[0, 2, 5]])
+        assert np.all((0.5 <= f) & (f < 1.0))
+        top = np.abs(q[[1, 3]]).max(axis=(1, 2))
+        assert np.all((0.5 <= top) & (top < 1.0))
+        assert e[4] == 0 and not q[4].any()
+
+
 def _direct_log_norm(mats, path):
     prod = np.eye(mats.shape[1], dtype=np.complex128)
     for c in path:
@@ -642,6 +662,17 @@ class TestPathEquivalence:
         got = _kernels.path_log_norms(mats, paths)
         np.testing.assert_allclose(got, _direct_log_norms(mats, paths),
                                    rtol=REL, atol=0.0)
+
+    @pytest.mark.parametrize("t", [1e-40, 1e-150])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_contracting_rotation(self, t, cplx):
+        # along S_2 = t R alone a block of 8 letters is t^8 R^8, whose
+        # entries underflow unless the letters are scaled first
+        c, s = np.cos(0.4), np.sin(0.4)
+        r = np.array([[c, -s], [s, c]], np.complex128 if cplx else np.float64)
+        got = _kernels.path_log_norms(np.stack([r, t * r]),
+                                      np.ones((3, 300), np.int64))
+        np.testing.assert_allclose(got, math.log(t), rtol=1e-12, atol=0.0)
 
     def test_power_log_norms(self):
         # a one-letter scan walks the powers: n log of its level maximum
