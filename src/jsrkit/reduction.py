@@ -1,20 +1,20 @@
 """Irreducibility, common invariant subspaces, and block triangularization.
 
-A complex family is irreducible exactly when the unital algebra it
-generates is the full d x d matrix algebra, a span-closure computation.  A
-real family is reduced over the reals, in float64, all its extremal norm
-needs: its closure, subspaces, transform and blocks are real, and a
-closure below d^2 leaves it whole only with a proof.  Reducible families
-are repeatedly split along invariant subspaces into a lower-block-
-triangular form whose diagonal blocks are irreducible; the block with the
-largest joint spectral radius carries the whole family's growth rate.
-A split of dimension m whose parent closure has dimension d^2 - m(d - m)
-ends the recursion there: that closure is the whole lower-block-
-triangular algebra, whose diagonal blocks carry full matrix algebras, so
-both blocks are irreducible (Burnside) without closures of their own.
-
-Subspace invariance uses the row-vector convention (x maps to x S_k);
-transpose the family for the column convention.
+Decisions use Norton's orbit test (R. A. Parker 1984; D. F. Holt and S.
+Rees 1994): with v and w left and right eigenvectors of a simple
+eigenvalue lambda of a random element theta of the algebra, the family is
+irreducible iff the orbits of v under the family and of w under the
+transposes both span the space, and a proper orbit of v, or the
+annihilator of one of w, is invariant.  Over the reals a nonreal lambda
+gives the real or imaginary part of its eigenvector: lambda and its
+conjugate are simple, so ker (theta - lambda)(theta - conj(lambda)) has
+dimension 2 and plays the eigenline's part.  Where one of three guards
+fails (lambda separated by 1e-3 max|lambda|, no orbit rank decision within
+a factor 100 of RANK_TOL, a proper orbit invariant to RANK_TOL * 1e-2),
+the algebra closure decides.  Reducible families are split recursively
+into a lower-block-triangular form with irreducible diagonal blocks; the
+block with the largest joint spectral radius carries the family's growth
+rate.  Invariance is for row vectors, x -> x S_k.
 """
 
 from __future__ import annotations
@@ -44,33 +44,22 @@ class AlgebraResult:
 
 _SWEEPS = 3  # classical Gram-Schmidt sweeps per projection; see algebra_closure
 _ATTEMPTS = 8  # seeded random algebra elements probed per subspace search
+_SEPARATION = 1e-3  # least gap of the orbit test's eigenvalue, relative to max|lambda|
 
 
 def algebra_closure(family: MatrixFamily) -> AlgebraResult:
-    """Dimension and basis of the unital algebra generated by the family.
-
-    Span closure from {I, S_1, ..., S_K} under right-multiplication by the
-    generators, one breadth-first level at a time: the first level is
-    [I, S_1, ..., S_K] and each next one holds the children
-    (``_kernels.children``) of the candidates accepted on the level before,
-    parent-major.  Every candidate is scaled to unit Frobenius norm, and the
-    norm of its residual against the accepted orthonormal rows decides its
-    rank: accepted above RANK_TOL, zero candidates skipped, and the closure
-    flagged uncertain when a residual lies within a factor 100 of RANK_TOL
-    either way (``worst_ratio`` is the closest such factor).
-
-    A level is projected against the rows of earlier levels as one block,
-    ``V -= (V Q^H) Q``.  Then each candidate, in order, is projected
-    against the rows accepted earlier on its own level only.  So the
-    accepted candidates, their order and the stop at d^2 are those of a
-    queue that takes one candidate at a time.  Each projection is three
-    sweeps.  One sweep leaves in-span residuals up to about 2e-11, inside
-    the band.  From two on, the residual of an in-span candidate is the
-    rounding of the first sweep: median about 1e-15, but up to about 2e-12,
-    across the band's lower edge.  Three is the count that changes no
-    decision of the one-at-a-time queue on the 880 ``reduce`` families of
-    jsrbench seeds 1-10; two and four each change some.
-    """
+    """Dimension and basis of the unital algebra generated by the family:
+    the orbit of I under right-multiplication by the generators, one level
+    of children (``_kernels.children``) of the last level's accepted
+    candidates at a time.  Each candidate is scaled to unit Frobenius norm
+    and accepted when its residual against the accepted orthonormal rows
+    exceeds RANK_TOL; a residual within a factor 100 of RANK_TOL either way
+    flags the closure uncertain (``worst_ratio`` is the closest factor).  A
+    level is projected against earlier levels as one block, then each
+    candidate against its own level's accepted rows, in three sweeps: the
+    decisions of a one-candidate queue (one sweep leaves in-span residuals
+    near 2e-11; two or four change some decisions on the 880 ``reduce``
+    families of jsrbench seeds 1-10, three none)."""
     d = family.dim
     full = d * d
     gens = family.normalized_mats()
@@ -124,10 +113,12 @@ def algebra_dimension(family: MatrixFamily) -> int:
 
 def is_irreducible(family: MatrixFamily) -> bool:
     """No nontrivial common invariant subspace: over the reals for a real
-    family, over the complex numbers otherwise.  The decision is
-    ``block_triangularize``'s, so the two always agree."""
-    alg = _certain(algebra_closure(family))
-    return _invariant_subspace(family, alg, seed=0) is None
+    family, over the complex numbers otherwise.  Norton's orbit test
+    decides unless one of its three guards fails (module docstring); then
+    a certain algebra closure does, and an uncertain one raises
+    ToleranceConflictError.  ``block_triangularize`` and
+    ``find_invariant_subspace`` make the same decision."""
+    return _decide(family, seed=0)[0] is None
 
 
 def _invariance_residual(basis: np.ndarray, family: MatrixFamily) -> float:
@@ -139,49 +130,84 @@ def _invariance_residual(basis: np.ndarray, family: MatrixFamily) -> float:
 
 
 def find_invariant_subspace(family: MatrixFamily, seed: int = 0) -> np.ndarray | None:
-    """Orthonormal row basis W of a proper nonzero subspace with W S_k in span(W).
-
-    Probes left eigenvectors of seeded random algebra elements and spans
-    their algebra orbits; every candidate is post-verified for invariance
-    before being returned.  For a real family W is real and None means
-    irreducible over the reals; for a complex family None means
-    irreducible over the complex numbers.  None comes only from a certain
-    closure of dimension d^2 or from the proof over the reals; a verified
-    subspace is returned from any closure, and otherwise the call raises
-    ToleranceConflictError, as ``is_irreducible`` does.
-    """
-    return _invariant_subspace(family, algebra_closure(family), seed)
+    """Orthonormal rows W, real for a real family, of a proper nonzero
+    subspace with W S_k in span(W): a proper orbit of the orbit test or,
+    where a guard fails, one the closure's probes find, verified for
+    invariance.  None, or ToleranceConflictError, where ``is_irreducible``
+    answers True or raises."""
+    return _decide(family, seed)[0]
 
 
-def _invariant_subspace(family: MatrixFamily, alg: AlgebraResult,
-                        seed: int) -> np.ndarray | None:
+def _orbit_test(family: MatrixFamily, seed: int) -> tuple[bool, np.ndarray | None]:
+    """Norton's test on theta, a seeded combination of the normalized words
+    of lengths 1 and 2: (True, None) proves irreducibility, (True, W) gives
+    an invariant W (unrefined), and (False, None) means a guard failed."""
+    d, real = family.dim, family.is_real
+    gens = family.normalized_mats()
+    words = np.concatenate([gens, _kernels.children(gens, gens)])
+    z = np.random.default_rng(seed).standard_normal((2, len(words)))
+    coeffs = z[0] if real else z[0] + 1j * z[1]
+    theta = (coeffs @ words.reshape(len(words), -1)).reshape(d, d)
+    lam, right = np.linalg.eig(theta)
+    lam_t, left = np.linalg.eig(theta.T)
+    sep = (np.abs(lam[:, None] - lam) + np.diag(np.full(d, np.inf))).min(axis=1)
+    i = int(np.argmax(sep))
+    j = int(np.argmin(np.abs(lam_t - lam[i])))  # lambda again, as theta^T's
+    if not sep[i] > max(_SEPARATION * np.abs(lam).max(), 2 * abs(lam_t[j] - lam[i])):
+        return False, None
+    norms = _kernels.frobenius(words)
+    letters = words[norms > 0] / norms[norms > 0, None, None]
+    # v's orbit, then w's under the transposes, whose annihilator is
+    # invariant: a level of children of the new rows at a time, swept twice
+    # and ranked by its singular values against ||parent|| ||letter|| = 1
+    # (its own norm would blow rounding noise up to a unit row).  Of two
+    # proper orbits, the split with the smaller invariance residual is taken.
+    splits = []
+    for x, mats in ((left[:, j], letters), (right[:, i], letters.swapaxes(1, 2))):
+        if real:
+            x = x.real if np.linalg.norm(x.real) >= np.linalg.norm(x.imag) else x.imag
+        rows = new = (x / np.linalg.norm(x)).astype(gens.dtype)[None]
+        while len(new) and len(rows) < d:
+            level = (new @ mats).reshape(-1, d)
+            for _ in range(2):
+                level -= (level @ rows.conj().T) @ rows
+            _, sv, vh = np.linalg.svd(level, full_matrices=False)
+            if ((RANK_TOL * 1e-2 < sv) & (sv < RANK_TOL * 1e2)).any():
+                return False, None
+            new = vh[:np.count_nonzero(sv > RANK_TOL)]
+            new -= (new @ rows.conj().T) @ rows  # the rounding of a small sv
+            rows = np.concatenate([rows, new])
+        if len(rows) < d:
+            w = rows if mats is letters else np.linalg.svd(rows.conj())[2][len(rows):]
+            splits.append((_invariance_residual(w, family), w))
+    residual, w = min(splits, key=lambda split: split[0], default=(0.0, None))
+    return (True, w) if residual <= RANK_TOL * 1e-2 else (False, None)
+
+
+def _decide(family: MatrixFamily, seed: int) -> tuple[np.ndarray | None, int]:
     # the one decision of is_irreducible, find_invariant_subspace and
-    # block_triangularize: d^2 from a certain closure, or below d^2 a
-    # subspace or a proof over the reals
-    if alg.dimension == family.dim ** 2:
-        _certain(alg)
-        return None
-    w = _split(family, alg, seed)
-    if w is not None:
-        return _refine(w, family)
-    if not (family.is_real and _irreducible_over_reals(family, alg)):
-        raise ToleranceConflictError(
-            "algebra closure says reducible but no invariant subspace verified; "
-            "the family sits at the rank tolerance boundary")
-    return None
+    # block_triangularize, and the closures it ran: the orbit test, else a
+    # certain closure of dimension d^2, a verified subspace or a real proof;
+    # a subspace takes one Newton step (``_refine``)
+    decided, w = _orbit_test(family, seed)
+    if not decided:
+        alg = _certain(algebra_closure(family))
+        if alg.dimension < family.dim ** 2:
+            w = _split(family, alg, seed)
+            if w is None and not (family.is_real and _irreducible_over_reals(family, alg)):
+                raise ToleranceConflictError(
+                    "algebra closure says reducible but no invariant subspace verified; "
+                    "the family sits at the rank tolerance boundary")
+    return (None if w is None else _refine(w, family)), int(not decided)
 
 
 def _split(family: MatrixFamily, alg: AlgebraResult, seed: int) -> np.ndarray | None:
-    # the first verified proper invariant subspace the probes find, or None;
-    # for a real family the real span of an orbit and its conjugate
+    # the first verified proper invariant subspace the probes find, or None
+    # (real for a real family).  A probe, built when it is tried, sums its
+    # terms one at a time in basis order: the transform is not continuous in
+    # the subspace, and a BLAS contraction rounds differently.
     d = family.dim
     real, basis = family.is_real, alg.basis
-    # per probe, the real and then the imaginary parts of its coefficients
-    # (the real parts alone for a real family); the sum adds the terms in
-    # basis order, one at a time (a BLAS contraction rounds differently,
-    # and the transform block_triangularize builds from the subspace is
-    # not continuous in it).  A probe is built only when it is tried: the
-    # first one nearly always splits.
     z = np.random.default_rng(seed).standard_normal((_ATTEMPTS, 2, alg.dimension))
     coeffs = z[:, 0] if real else z[:, 0] + 1j * z[:, 1]
     probes = itertools.chain(((c[:, None, None] * basis).sum(axis=0) for c in coeffs),
@@ -260,6 +286,7 @@ class ReductionResult:
     block_sizes: tuple[int, ...] = ()
     blocks: tuple[MatrixFamily, ...] = ()
     structure: str = "lower-block-triangular"
+    closures: int = 0  # algebra closures run; 0 when the orbit test decided every block
 
     @property
     def block_count(self) -> int:
@@ -271,15 +298,10 @@ class ReductionResult:
 
     def reconstruction_residual(self) -> float:
         """Largest off-structure entry of P^H S_k P, relative to the family scale."""
-        t = self.transformed()
         scale = self.family.scale if self.family.scale > 0 else 1.0
-        worst = 0.0
-        starts = np.cumsum((0,) + self.block_sizes)
-        for a in range(self.block_count):
-            for b in range(a + 1, self.block_count):
-                seg = t[:, starts[a]:starts[a + 1], starts[b]:starts[b + 1]]
-                worst = max(worst, float(np.max(np.abs(seg), initial=0.0)))
-        return worst / scale
+        block = np.repeat(np.arange(self.block_count), self.block_sizes)
+        above = block[:, None] < block  # row in a block, column in a later one
+        return float(np.max(np.abs(self.transformed()[:, above]), initial=0.0)) / scale
 
 
 def block_triangularize(family: MatrixFamily, seed: int = 0) -> ReductionResult:
@@ -287,49 +309,30 @@ def block_triangularize(family: MatrixFamily, seed: int = 0) -> ReductionResult:
     block is irreducible, over the reals for a real family, whose
     transform and blocks are then float64.  The assembled transform is
     unitary (nested orthonormal completions), so it is as well-conditioned
-    as possible.  One algebra closure per split decides irreducibility
-    (raising ToleranceConflictError when uncertain) and seeds the subspace
-    search.
-
-    A verified split of dimension m leaves the family's algebra inside the
-    lower-block-triangular matrices of that layout, an algebra of dimension
-    m^2 + (d - m)^2 + m(d - m) = d^2 - m(d - m).  When the certain closure
-    has exactly that dimension it is all of them, so each diagonal block
-    of the family generates the full matrix algebra of its size (over the
-    reals for a real family, and so over C too) and is irreducible: both
-    blocks are returned as they are, with no closure of their own.  Below
-    that dimension the blocks are split again."""
+    as possible.  Each block is decided by the orbit test, or where one of
+    its guards fails by the algebra closure (module docstring), which
+    raises ToleranceConflictError when uncertain; ``closures`` counts them."""
     d = family.dim
     if d == 1:
         return _whole(family)
-    alg = _certain(algebra_closure(family))
-    w = _invariant_subspace(family, alg, seed)
+    w, closures = _decide(family, seed)
     if w is None:  # irreducible
-        return _whole(family)
-    m = w.shape[0]
-    _, _, vh = np.linalg.svd(w)
-    p_inv = vh  # first m rows span the invariant subspace
-    p = p_inv.conj().T
-    t = np.einsum("ij,kjl,lm->kim", p_inv, family.mats, p)
-    top = MatrixFamily(np.ascontiguousarray(t[:, :m, :m]))
-    bottom = MatrixFamily(np.ascontiguousarray(t[:, m:, m:]))
-    if alg.dimension == d * d - m * (d - m):  # both blocks irreducible
-        r_top, r_bottom = _whole(top), _whole(bottom)
-    else:
-        r_top = block_triangularize(top, seed=seed)
-        r_bottom = block_triangularize(bottom, seed=seed)
+        return _whole(family, closures)
+    m, p_inv = len(w), np.linalg.svd(w)[2]  # first m rows span the subspace
+    t = np.einsum("ij,kjl,lm->kim", p_inv, family.mats, p_inv.conj().T)
+    top, bottom = (block_triangularize(MatrixFamily(np.ascontiguousarray(t[:, s, s])), seed)
+                   for s in (slice(m), slice(m, d)))
     q = np.zeros((d, d), dtype=family.mats.dtype)
-    q[:m, :m] = r_top.transform
-    q[m:, m:] = r_bottom.transform
-    return ReductionResult(family, p @ q,
-                           r_top.block_sizes + r_bottom.block_sizes,
-                           r_top.blocks + r_bottom.blocks)
+    q[:m, :m], q[m:, m:] = top.transform, bottom.transform
+    return ReductionResult(family, p_inv.conj().T @ q, top.block_sizes + bottom.block_sizes,
+                           top.blocks + bottom.blocks,
+                           closures=closures + top.closures + bottom.closures)
 
 
-def _whole(family: MatrixFamily) -> ReductionResult:
+def _whole(family: MatrixFamily, closures: int = 0) -> ReductionResult:
     # an irreducible family is its own single block
     return ReductionResult(family, np.eye(family.dim, dtype=family.mats.dtype),
-                           (family.dim,), (family,))
+                           (family.dim,), (family,), closures=closures)
 
 
 @dataclass(frozen=True)
@@ -412,16 +415,13 @@ def extremal_subspace(family: MatrixFamily, depth: int,
     by a norm, following the constructive restriction argument.
 
     The estimate is the depth-``depth`` bracket's lower bound, attained by
-    its best word.  The whole space is tried first (``_certificate``);
-    otherwise the search descends into the block triangularization and
-    takes the first block j, in order, whose bracket's lower bound is the
-    estimate (a block below it cannot prove equality) and whose
-    restriction to blocks 1..j carries a certificate, with the block
-    bracket's best word for the polytope.  E is spanned by rows of the
-    (unitary) transform, real ones for a real family, so a real family's
-    restriction is real too.  Without a verified certificate the answer
-    is "undetermined", never a guess.
-    ``vertex_budget`` caps each polytope closure.
+    its best word.  The whole space is tried first (``_certificate``), then
+    the first block j of the triangularization whose bracket's lower bound
+    is the estimate and whose restriction to blocks 1..j carries a
+    certificate, with the block bracket's best word for the polytope.  E is
+    spanned by rows of the unitary transform, real for a real family.
+    Without a verified certificate the answer is "undetermined", never a
+    guess.  ``vertex_budget`` caps each polytope closure.
     """
     bracket = bounds_bracket(family, depth, node_budget)
     if bracket.upper <= 1e-300:

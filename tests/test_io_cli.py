@@ -267,7 +267,8 @@ class TestToJson:
     def test_reduction_leaves_family_out(self, shear):
         result = block_triangularize(shear)
         doc = json.loads(json.dumps(io.to_json(result)))
-        assert set(doc) == {"transform", "block_sizes", "blocks", "structure"}
+        assert set(doc) == {"transform", "block_sizes", "blocks", "structure",
+                            "closures"}
         assert doc["block_sizes"] == [1, 1]
         # a real family reduces in float64: its report holds plain numbers
         assert doc["transform"] == result.transform.tolist()
@@ -369,14 +370,27 @@ class TestCliReduce:
 
 
     def test_three_blocks(self, tmp_path, capsys):
-        # the (1, 2, 2) layout: one split recurses, the other ends by the
-        # closure dimension
+        # the (1, 2, 2) layout: the orbit test splits it and proves every
+        # block irreducible, so no closure runs
         out = tmp_path / "three_blocks.json"
         code = cli.main(["reduce", data_path("three_blocks.json"), "--out", str(out)])
         assert code == 0
         assert "sizes [1, 2, 2]" in capsys.readouterr().out
         report = json.loads(out.read_text())
         assert report["results"]["reduction"]["block_sizes"] == [1, 2, 2]
+        assert report["results"]["reduction"]["closures"] == 0
+
+    def test_complex_type_blocks(self, tmp_path, capsys):
+        # two isomorphic blocks of complex type: the closure of the whole
+        # family finds the split, and the orbit test proves both blocks
+        out = tmp_path / "complex_type_blocks.json"
+        code = cli.main(["reduce", data_path("complex_type_blocks.json"),
+                         "--out", str(out)])
+        assert code == 0
+        assert "sizes [4, 4]" in capsys.readouterr().out
+        reduction = json.loads(out.read_text())["results"]["reduction"]
+        assert reduction["block_sizes"] == [4, 4]
+        assert reduction["closures"] == 1
 
 
 class TestCliNormCheck:

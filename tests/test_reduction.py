@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -8,8 +11,9 @@ from jsrkit import (MatrixFamily, algebra_dimension, block_triangularize,
                     is_irreducible)
 from jsrkit import reduction
 from jsrkit.config import INVARIANCE_TOL, RANK_TOL
-from jsrkit.reduction import (ToleranceConflictError, _invariance_residual,
-                              algebra_closure)
+from jsrkit.io import family_from_dict
+from jsrkit.reduction import (AlgebraResult, ToleranceConflictError,
+                              _invariance_residual, algebra_closure)
 
 from conftest import PHI, random_family
 
@@ -388,20 +392,20 @@ class TestRealReduction:
         tilted = MatrixFamily(mats + 1e-300j)
         assert algebra_closure(tilted).basis.dtype == np.complex128
 
-    def test_complex_type_block_is_proven_over_reals(self, monkeypatch):
-        # a realified complex 2x2 block (real algebra M_2(C), of dimension
-        # 8 < 16) above a real coupling to a real 2x2 block: the family's
-        # algebra has dimension at most 8 + 4 + 2*4 = 20, below the 36 -
-        # 4*2 = 28 of the split, so the split does not end there, and the
-        # 4x4 block's own closure is kept whole by the proof over the reals
+    @staticmethod
+    def coupled_to_a_real_plane(top):
+        # the pair of real 4x4 blocks ``top`` above a real coupling to a
+        # random real 2x2 pair, behind a random orthogonal Q
         rng = np.random.default_rng(3)
         mats = np.zeros((2, 6, 6))
-        mats[:, :4, :4] = REAL_IRREDUCIBLE["realified-complex-pair"]
+        mats[:, :4, :4] = top
         mats[:, 4:, 4:] = rng.standard_normal((2, 2, 2))
         mats[:, 4:, :4] = rng.standard_normal((2, 2, 4))
         q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-        fam = MatrixFamily(q.T @ mats @ q)
-        assert algebra_closure(fam).dimension < 36 - 4 * 2
+        return MatrixFamily(q.T @ mats @ q)
+
+    @staticmethod
+    def record_proofs(monkeypatch):
         proofs = []
         prove = reduction._irreducible_over_reals
 
@@ -409,9 +413,30 @@ class TestRealReduction:
             proofs.append((f.dim, prove(f, alg)))
             return proofs[-1][1]
         monkeypatch.setattr(reduction, "_irreducible_over_reals", recorded)
+        return proofs
+
+    def test_complex_type_block_is_proven_over_reals(self, monkeypatch):
+        # a realified complex 2x2 block (real algebra M_2(C), of dimension
+        # 8 < 16) coupled to a real 2x2 block: theta's eigenvalues on the
+        # 4x4 block are two simple conjugate pairs, so the orbit test over
+        # the reals proves it irreducible, with no closure and no commutant
+        fam = self.coupled_to_a_real_plane(REAL_IRREDUCIBLE["realified-complex-pair"])
+        assert algebra_closure(fam).dimension < 36 - 4 * 2
+        proofs = self.record_proofs(monkeypatch)
         r = block_triangularize(fam)
         assert r.block_sizes == (4, 2)
-        assert proofs == [(4, True)]
+        assert proofs == [] and r.closures == 0
+        assert r.reconstruction_residual() <= 1e-12
+
+    def test_quaternion_type_block_keeps_commutant_proof(self, monkeypatch):
+        # on a block of quaternion type every eigenvalue of theta is double:
+        # the orbit test cannot decide that block, so its closure (of
+        # dimension 4 < 16) is kept whole by the proof over the reals
+        fam = self.coupled_to_a_real_plane(REAL_IRREDUCIBLE["quaternion-i-j"])
+        proofs = self.record_proofs(monkeypatch)
+        r = block_triangularize(fam)
+        assert r.block_sizes == (4, 2)
+        assert proofs == [(4, True)] and r.closures == 1
         assert r.reconstruction_residual() <= 1e-12
 
     def test_scalar_plane_is_not_proven_irreducible(self):
@@ -423,6 +448,105 @@ class TestRealReduction:
         assert not reduction._irreducible_over_reals(fam, alg)
         assert block_triangularize(fam).block_sizes == (1, 1)
         assert real_orbit_gap(fam.mats.real) < 1e-9
+
+
+def complex_type_pairs(draws=15):
+    """8x8 real families, exactly reducible into two isomorphic blocks of
+    complex type: one realified complex pair on both diagonal blocks, a
+    real coupling below them and a random orthogonal Q (default_rng(5)).
+    Every eigenvalue of every algebra element is double."""
+    rng = np.random.default_rng(5)
+    for _ in range(draws):
+        z = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        mats = np.zeros((2, 8, 8))
+        mats[:, :4, :4] = mats[:, 4:, 4:] = [realified(zk) for zk in z]
+        mats[:, 4:, :4] = rng.standard_normal((2, 4, 4))
+        q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        yield q.T @ mats @ q
+
+
+COMPLEX_TYPE_PAIRS = list(complex_type_pairs())
+# planted reduce jobs of jsrbench (seed, job id) whose closures met in-span
+# residuals across the band's lower edge and raised ToleranceConflictError
+ROUNDING_FLOOR = json.loads(
+    (Path(__file__).parent / "data" / "rounding_floor_families.json").read_text())
+
+
+def closure_decision(fam):
+    """Irreducible (True) or not from a certain closure and, below d^2 for
+    a real family, the proof over the reals; None when uncertain."""
+    alg = algebra_closure(fam)
+    if alg.uncertain:
+        return None
+    return (alg.dimension == fam.dim ** 2
+            or fam.is_real and reduction._irreducible_over_reals(fam, alg))
+
+
+class TestOrbitTest:
+    @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e7])
+    @pytest.mark.parametrize("draw", range(len(COMPLEX_TYPE_PAIRS)))
+    def test_isomorphic_complex_type_blocks_split(self, draw, scale):
+        # the orbit test cannot decide the 8x8 family, whose closure finds
+        # the split; each 4x4 block then has simple conjugate pairs, and the
+        # orbit test proves it irreducible over the reals
+        fam = MatrixFamily(COMPLEX_TYPE_PAIRS[draw] * scale)
+        r = block_triangularize(fam)
+        assert r.block_sizes == (4, 4)
+        assert all(b.is_real and is_irreducible(b) for b in r.blocks)
+        assert r.closures == 1
+        assert r.reconstruction_residual() <= 1e-12
+        assert not is_irreducible(fam)
+
+    def test_complex_type_blocks_data_file(self):
+        # the bundled example is the first draw at scale 1
+        doc = json.loads((Path(reduction.__file__).parent / "data"
+                          / "complex_type_blocks.json").read_text())
+        np.testing.assert_array_equal(np.array(doc["matrices"]), COMPLEX_TYPE_PAIRS[0])
+
+    @pytest.mark.parametrize("case", ROUNDING_FLOOR,
+                             ids=[f"seed{c['seed']}-job{c['job']}" for c in ROUNDING_FLOOR])
+    def test_rounding_floor_families_split(self, case):
+        fam = family_from_dict(case["family"])
+        r = block_triangularize(fam)
+        assert sorted(r.block_sizes) == sorted(case["sizes"])
+        assert r.closures == 0
+        assert r.reconstruction_residual() <= 1e-12
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_agrees_with_certain_closure(self, d, cplx):
+        decided = 0
+        for seed in range(6):
+            k = 1 + seed % 3
+            m = 1 + seed % (d - 1)
+            for sizes in ((d,), (m, d - m)):
+                fam = conjugated_block_family(100 * seed + d, sizes, k,
+                                              (1.0, 0.6), cplx)[0]
+                expected = closure_decision(fam)
+                done, w = reduction._orbit_test(fam, seed)
+                if expected is None or not done:
+                    continue
+                decided += 1
+                assert (w is None) == expected
+                if w is not None:
+                    assert 1 <= len(w) < d
+                    assert _invariance_residual(w, fam) <= 1e-12
+        assert decided >= 10
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_annihilated_line_is_never_irreducible(self, seed):
+        # e_1 S_k = 0 for every k: the line is invariant, and the children
+        # of its eigenvector are rounding noise, which measured against
+        # their own norms would make both orbits look full
+        rng = np.random.default_rng(seed)
+        d = 2 + seed % 5
+        mats = rng.standard_normal((2, d, d))
+        mats[:, 0, :] = 0
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        fam = MatrixFamily(q.T @ mats @ q)
+        done, w = reduction._orbit_test(fam, seed)
+        assert not done or w is not None
+        assert not is_irreducible(fam)
 
 
 class TestBlockTriangularize:
@@ -459,22 +583,25 @@ class TestBlockTriangularize:
             seg = t[:, starts[j]:starts[j + 1], starts[j]:starts[j + 1]]
             assert np.allclose(seg, b.mats, atol=1e-10)
 
-    def test_one_closure_per_split(self, monkeypatch):
-        # sizes (1, 2) with a generic coupling: the whole family's closure
-        # decides reducibility and seeds the subspace search, and its
-        # dimension 9 - 1*2 = 7 proves both blocks irreducible, so neither
-        # needs a closure of its own
+    @staticmethod
+    def count_closures(monkeypatch):
         calls = []
         monkeypatch.setattr(reduction, "algebra_closure",
                             lambda fam: calls.append(fam.dim) or algebra_closure(fam))
+        return calls
+
+    def test_planted_split_runs_no_closure(self, monkeypatch):
+        # sizes (1, 2) with a generic coupling: the orbit test finds the
+        # split and proves the 2x2 block irreducible, so no closure runs
+        calls = self.count_closures(monkeypatch)
         fam, _ = conjugated_block_family(3, sizes=(1, 2))
-        assert block_triangularize(fam, seed=3).block_sizes == (1, 2)
-        assert sorted(calls) == [3]
+        r = block_triangularize(fam, seed=3)
+        assert r.block_sizes == (1, 2)
+        assert calls == [] and r.closures == 0
 
     def test_zero_coupling_recurses(self, monkeypatch):
-        # block-diagonal (1, 2): the algebra M_1 + M_2 has dimension 5,
-        # below 9 - 1*2 = 7, so the split does not end there and the 2x2
-        # block, whichever side it lands on, gets a closure of its own
+        # block-diagonal (1, 2): the split is followed by an orbit test of
+        # the 2x2 block, whichever side it lands on; no closure runs
         rng = np.random.default_rng(5)
         mats = np.zeros((2, 3, 3))
         mats[:, :1, :1] = rng.standard_normal((2, 1, 1))
@@ -482,12 +609,14 @@ class TestBlockTriangularize:
         q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         fam = MatrixFamily(q.T @ mats @ q)
         assert algebra_closure(fam).dimension == 5
-        calls = []
-        monkeypatch.setattr(reduction, "algebra_closure",
-                            lambda fam: calls.append(fam.dim) or algebra_closure(fam))
+        tests = []
+        orbit_test = reduction._orbit_test
+        monkeypatch.setattr(reduction, "_orbit_test",
+                            lambda f, seed: tests.append(f.dim) or orbit_test(f, seed))
+        calls = self.count_closures(monkeypatch)
         r = block_triangularize(fam)
         assert sorted(r.block_sizes) == [1, 2]
-        assert sorted(calls) == [2, 3]
+        assert tests == [3, 2] and calls == []
         assert all(is_irreducible(b) for b in r.blocks)
         assert r.reconstruction_residual() <= 1e-12
 
@@ -509,13 +638,22 @@ class TestBlockTriangularize:
         assert r.reconstruction_residual() <= 1e-10
 
     def test_uncertain_closure_raises(self, monkeypatch):
+        # a 5e-9 leak above the (2, 2) blocks puts an orbit rank decision in
+        # the band: the closure decides instead, and its uncertainty raises
+        # with its gap factor
+        fam, _ = conjugated_block_family(5, (2, 2), leak=5e-9)
+        assert reduction._orbit_test(fam, 0) == (False, None)
+        with pytest.raises(ToleranceConflictError, match="gap factor"):
+            block_triangularize(fam)
+
         def uncertain(fam):
             res = algebra_closure(fam)
-            return reduction.AlgebraResult(res.dimension, res.basis, True, 3.0)
+            return AlgebraResult(res.dimension, res.basis, True, 3.0)
         monkeypatch.setattr(reduction, "algebra_closure", uncertain)
-        fam, _ = conjugated_block_family(0, sizes=(1, 2))
         with pytest.raises(ToleranceConflictError, match="gap factor 3"):
             block_triangularize(fam)
+        with pytest.raises(ToleranceConflictError, match="gap factor 3"):
+            is_irreducible(fam)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_jsr_conserved_by_similarity(self, seed):
