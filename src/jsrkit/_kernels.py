@@ -5,39 +5,47 @@ Every word walk goes one level at a time through one frontier step,
 ``children``: a level is K GEMMs per block of parents, one per letter j,
 each multiplying the stacked rows of the block by S_j into slot j of an
 (m, K, d, d) array, so children come parent-major and letter-minor and a
-level is in lexicographic order.  Walks that keep only part of a level
-carry their words as (m, n) letter arrays from ``child_words`` (the pruned
-search beside its products, the support walk of a measure on its own).
-One rule, ``necklace_step``, picks the Lyndon words of every walk from
-the length p of each word's longest Lyndon prefix, carried from parent to
-child in O(1): the pruned search carries p beside its letter arrays.
+level is in lexicographic order.  The pruned search and the support walk
+of a measure carry their words as (m, n) letter arrays from
+``child_words``.  One rule, ``necklace_step``, picks the Lyndon words of
+every walk from the length p of each word's longest Lyndon prefix,
+carried from parent to child in O(1) beside the words.
 
-``scan_words`` keeps every word.  It carries a level of length n as the
-base-K indices c = 0..K^n-1 (Lyndon words come from ``lyndon_index``,
-cached per (K, n)) and keeps per level only the largest 2-norm and the
-running maximum of the spectral values, so batched SVD and ``eigvals``
-run behind two exact screens.  The floor is the largest value (2-norm or
-spectral radius) among the 4 words with the largest Frobenius norms, and
-a word whose bound lies below it cannot hold the maximum.  The first
-bound is rho(P) <= ||P||_2 <= ||P||_F; the second, taken by one batched
-matmul on the words the first lets through, is rho(P) <= ||P^2||_F^(1/2)
-for spectral radii (Gelfand) and ||P||_2 <= ||P^H P||_F^(1/2) for
-2-norms.  Each word is valued at most once.  The 1e-10 margin covers
+``scan_words`` keeps only the words that can still hold a level maximum
+or beat the spectral witness.  A whole level of length n is the base-K
+codes c = 0..K^n-1 (Lyndon words come from ``lyndon_index``, cached per
+(K, n)).  Before a level of at least ``_PRUNE_FROM`` words is built, a
+parent u whose Frobenius norm lies below ``_prefix_floor`` is dropped:
+a level-N word u.v has ||P_{u.v}|| <= ||P_u|| M(N - n), M(j) the level-j
+maximum, and a level maximum reaches rho^N >= witness^N (Gripenberg's
+branch-and-bound argument).  A pruned level carries its codes and
+prefix lengths, and the answers are those of the scan of every word; a
+level whose maximum ends below the witness (an inverted bracket) or
+that loses every word makes the scan redo itself whole.  Per level it
+keeps only the largest 2-norm and the running maximum of the spectral
+values, so batched SVD and ``eigvals`` run behind exact screens.  The
+floor is the largest value (2-norm or spectral radius) among the 4 words
+with the largest Frobenius norms, and a word whose bound lies below it
+cannot hold the maximum.  The first bound is rho(P) <= ||P||_2 <=
+||P||_F; then the Gelfand chain, one batched matmul each on the words
+the bound before lets through: rho(P) <= ||P^(2^k)||_F^(2^-k) for
+spectral radii and ||P||_2 <= ||(P^H P)^(2^(k-1))||_F^(2^-k) for 2-norms,
+k = 1, 2, 3.  Each word is valued at most once.  The 1e-10 margin covers
 rounding, and the first spectral maximizer among the survivors in
 lexicographic order is the one an unscreened scan would pick.
 
 Both walks, the scan and the pruned search, share one witness rule
 (``level_witness``): spectral radii are taken only on Lyndon words, since
 rho is invariant under rotation and a power u^k ties the shorter u, and
-only on those whose two bounds still reach the running witness, a known
+only on those whose bounds still reach the running witness, a known
 floor that cuts before the floor of the 4 does.  So the witness is the
 first Lyndon word that can beat it, a level that cannot raise the lower
 bound runs no ``eigvals``, and the answers are those of a walk that
-values every canonical word (Gripenberg's branch-and-bound rule).  The
-pruned search cuts a word on the Frobenius bound before it takes an SVD
-(``norms_above``).  Every kernel computes in the dtype of its stack,
-float64 for a real family.  Letters are 0-based here; the scan's record
-gives 1-based words, as the public API does.
+values every canonical word.  The pruned search cuts a word on the
+Frobenius bound before it takes an SVD (``norms_above``).  Every kernel
+computes in the dtype of its stack, float64 for a real family.  Letters
+are 0-based here; the scan's record gives 1-based words, as the public
+API does.
 
 ``path_log_norms``, behind both Lyapunov estimates (the exact finite-n
 sum over support words and the Monte Carlo average over sampled paths),
@@ -56,6 +64,7 @@ faster, but it costs about 14 us a call more, so below about 16 products
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +78,11 @@ _SCREEN_MARGIN = 1.0 - 1e-10
 # below this the squares summed into ||P||_F may underflow, so the screen
 # is skipped (and every word is checked) rather than trusted
 _SCREEN_FLOOR = 1e-140
-# the second bound sums the squares of P^2 (or P^H P), entries of the
-# order of the value squared: it is trusted only from this floor up
-_SQUARE_FLOOR = _SCREEN_FLOOR ** 0.5
+# the Gelfand chain of the screens: bound k, ||Q^(2^(k-1))||_F^(2^-k) for
+# Q = P^2 (rho) or P^H P (2-norm), sums squares of entries of the order of
+# the value^(2^k), so it is trusted only from the k-th of these floors up
+_CHAIN_FLOORS = (_SCREEN_FLOOR ** 0.5, _SCREEN_FLOOR ** 0.25,
+                 _SCREEN_FLOOR ** 0.125)
 # entries in the GEMM result of one block of parents: each result is a
 # temporary until it is copied into its slot of the level, and blocks keep
 # it small next to the level (256 KB in complex128)
@@ -79,21 +90,35 @@ _GEMM_ENTRIES = 2 ** 14
 # the screen floor is the largest value among this many candidates with the
 # largest Frobenius norms
 _SCREEN_TOP = 4
+# a level of fewer words than this is built whole: on such levels the
+# pruning test and the carried codes cost more than they save (on
+# recorded `bracket` scans a gate of 512 or 1024 made the scan 1.37-1.45x
+# faster than building every word, 256 only 1.27-1.33x; the K = 3,
+# depth 6 scans of `ergodic`, which 512 prunes, ran 4-7% slower for it)
+_PRUNE_FROM = 1024
+# base-K codes are int64: a level of more words is never built (nor could
+# one fit a node budget without pruning)
+_MAX_CODE = 2 ** 63 - 1
 # products in the block table of ``path_log_norms``: a level of at most
 # this many d x d matrices is gathered from on every block step
 _BLOCK_PRODUCTS = 256
 
 
-def children(prods, mats):
-    """The frontier step: every product times every letter, in order.
-    Letter j fills slot j of the (m, K, d, d) level with one GEMM over the
-    stacked rows of a block of parents."""
-    m, d, _ = prods.shape
+def children(prods, mats, parents=None):
+    """The frontier step: every product (or those at the sorted indices
+    ``parents``) times every letter, in order.  Letter j fills slot j of
+    the (m, K, d, d) level with one GEMM over the stacked rows of a block
+    of parents, gathered a block at a time, so no copy of the kept
+    parents is held beside the level."""
+    m, d, _ = prods.shape if parents is None else (len(parents),
+                                                   *prods.shape[1:])
     k = mats.shape[0]
     out = np.empty((m, k, d, d), np.result_type(prods, mats))
     step = max(1, _GEMM_ENTRIES // (d * d))
     for i in range(0, m, step):
-        rows = prods[i:i + step].reshape(-1, d)
+        block = (prods[i:i + step] if parents is None
+                 else prods[parents[i:i + step]])
+        rows = block.reshape(-1, d)
         for j in range(k):
             out[i:i + step, j] = (rows @ mats[j]).reshape(-1, d, d)
     return out.reshape(m * k, d, d)
@@ -113,10 +138,11 @@ def necklace_step(lengths, ref, k, n):
     p = 0 or a < ref, p if a = ref, and n if a > ref.  Returns the child
     lengths and the mask of the Lyndon children (p = n: least rotations
     that are no power of a shorter word)."""
-    p = np.repeat(lengths, k)
-    ref = np.repeat(ref, k)
-    a = np.tile(np.arange(k), lengths.size)
-    child = np.where((p == 0) | (a < ref), 0, np.where(a == ref, p, n))
+    a = np.arange(k)
+    # no letter reaches the ref k of a parent with p = 0
+    ref = np.where(lengths == 0, k, ref)[:, None]
+    child = np.where(a > ref, n, np.where(a == ref, lengths[:, None], 0))
+    child = child.ravel()
     return child, child == n
 
 
@@ -189,58 +215,80 @@ def _gram(prods):
     return np.ascontiguousarray(prods.transpose(0, 2, 1).conj()) @ prods
 
 
-def _squared_bound(squared, prods, fro):
-    """||``squared``(P)||_F + 1e-10 ||P||_F^2, an upper bound on the square
-    of the value SVD or ``eigvals`` computes: their backward error and the
-    matmul's rounding are a few ulps of ||P||_F^2, which for a nearly
-    nilpotent P exceed rho(P)^2 itself."""
-    return frobenius(squared(prods)) + (1.0 - _SCREEN_MARGIN) * fro * fro
+def _reach(squared, prods, fro, live, floor, known=(), taken=None):
+    """The words ``live`` (indices) whose bounds reach ``floor`` less the
+    margin: the Frobenius norm ``fro``, then for k = 1, 2, 3 the Gelfand
+    bound ||Q^(2^(k-1))||_F^(2^-k) with Q = ``squared``(P), one more
+    batched matmul each, cut by the first that falls short.  Bound k
+    takes ||P||_F^(2^k) 1e-10 of slack, since the backward error of SVD
+    or ``eigvals`` and the matmuls' rounding are a few ulps of it, which
+    for a nearly nilpotent P exceed rho(P)^(2^k) itself; it is trusted
+    from a floor of ``_CHAIN_FLOORS[k - 1]`` up, where the squares it sums
+    do not underflow.  ``floor`` is at least ``_SCREEN_FLOOR``, below
+    which those summed into ``fro`` may.  A call on sorted words appends
+    each bound it takes, as (words, Q^(2^(k-1)), bound), to ``taken``; a
+    later call on some of them reads those from ``known``, so each word's
+    powers are taken once.  Without ``taken`` a power is dropped as soon
+    as the next is taken."""
+    cut = floor * _SCREEN_MARGIN
+    f = fro[live]
+    high = f >= cut
+    live, f = live[high], f[high]
+    power = None
+    for k, trusted in enumerate(_CHAIN_FLOORS, start=1):
+        if not live.size or floor < trusted:
+            break
+        cut, f = cut * cut, f * f  # both to the power 2^k
+        if k <= len(known):
+            at, power, bound = known[k - 1]
+            at = np.searchsorted(at, live)
+            power, bound = power[at], bound[at]
+        else:
+            power = squared(prods[live]) if power is None else power @ power
+            bound = frobenius(power) + (1.0 - _SCREEN_MARGIN) * f
+            if taken is not None:
+                taken.append((live, power, bound))
+        high = bound >= cut
+        live, f, power = live[high], f[high], power[high]
+    return live
 
 
 def _screened(values_of, squared, prods, fro, candidates, floor=0.0):
-    """(indices, values) of the candidates that can hold the maximum of
-    ``values_of`` (2-norm or spectral radius) and reach ``floor``, in
-    candidate order.  A known ``floor`` (0 for none) cuts first: a word
-    stays only when its Frobenius norm and then its bound from ``squared``
-    (``_square`` or ``_gram``) reach it.  The floor of the level is the
-    largest value among the ``_SCREEN_TOP`` remaining candidates with the
-    largest Frobenius norms, and the same two bounds cut the rest against
-    it.  It is at most the maximum, so every word that ties the maximum
-    survives.  The floor words are valued once, ``values_of`` runs on the
-    rest only if some survive, and each word's bound from ``squared`` is
-    taken at most once.  A set no larger than ``_SCREEN_TOP`` is valued
-    whole, and an empty one makes no call."""
-    f = fro[candidates]
-    bound = None
+    """(indices, values) of the candidates (sorted indices) that can hold
+    the maximum of ``values_of`` (2-norm or spectral radius) and reach
+    ``floor``, in order.  A known ``floor`` (0 for none) cuts first: a
+    word stays only when its Frobenius norm and then its Gelfand bounds
+    from ``squared`` (``_square`` or ``_gram``) reach it (``_reach``).
+    The floor of the level is the largest value among the ``_SCREEN_TOP``
+    remaining candidates with the largest Frobenius norms, and the same
+    bounds cut the rest against it.  It is at most the maximum, so every
+    word that ties the maximum survives.  The floor words are valued
+    once, ``values_of`` runs on the rest only if some survive, and each
+    word's bounds are taken at most once.  A set no larger than
+    ``_SCREEN_TOP`` is valued whole, and an empty one makes no call."""
+    known = []
     if floor >= _SCREEN_FLOOR:
-        cut = floor * _SCREEN_MARGIN
-        live = f >= cut
-        candidates, f = candidates[live], f[live]
-        if floor >= _SQUARE_FLOOR and candidates.size:
-            bound = _squared_bound(squared, prods[candidates], f)
-            live = bound >= cut * cut
-            candidates, f, bound = candidates[live], f[live], bound[live]
+        candidates = _reach(squared, prods, fro, candidates, floor,
+                            taken=known)
     if candidates.size <= _SCREEN_TOP:
         if not candidates.size:
             return candidates, np.zeros(0)
         return candidates, values_of(prods[candidates])
+    f = fro[candidates]
     order = np.argpartition(f, -_SCREEN_TOP)
-    kept, rest = order[-_SCREEN_TOP:], order[:-_SCREEN_TOP]
-    values = values_of(prods[candidates[kept]])
+    top4, rest = order[-_SCREEN_TOP:], candidates[order[:-_SCREEN_TOP]]
+    kept = candidates[top4]
+    values = values_of(prods[kept])
     top = values.max()
     if top >= _SCREEN_FLOOR:
-        cut = top * _SCREEN_MARGIN
-        high = f[kept] >= cut
-        kept, values, rest = kept[high], values[high], rest[f[rest] >= cut]
-        if top >= _SQUARE_FLOOR and rest.size:
-            b = (bound[rest] if bound is not None else
-                 _squared_bound(squared, prods[candidates[rest]], f[rest]))
-            rest = rest[b >= cut * cut]
+        high = f[top4] >= top * _SCREEN_MARGIN
+        kept, values = kept[high], values[high]
+        rest = _reach(squared, prods, fro, rest, top, known)
     if rest.size:
         kept = np.concatenate([kept, rest])
-        values = np.concatenate([values, values_of(prods[candidates[rest]])])
+        values = np.concatenate([values, values_of(prods[rest])])
     order = np.argsort(kept)
-    return candidates[kept[order]], values[order]
+    return kept[order], values[order]
 
 
 def level_witness(prods, fro, candidates, n, best):
@@ -292,8 +340,26 @@ class WordScan:
     complete: bool
 
 
-def scan_words(mats, depth, node_budget) -> WordScan:
-    """Exhaustive scan over all words of length 1..depth, level by level.
+def _prefix_floor(tops, n, depth, best):
+    """The least Frobenius norm a word u of level n needs to hold a level
+    maximum or a word that can beat the witness ``best`` at some level N
+    in (n, depth]: the least (best (1 - 1e-11))^N / M(N - n).  A level-N
+    word w = u.v has ||P_w|| <= ||P_u|| M(N - n), and a level maximum
+    reaches rho^N >= best^N.  M(j) is the raw level-j maximum 2-norm
+    ``tops[j - 1]`` for j <= n and beyond it min over a + b = j of
+    M(a) M(b).  A level N with M(N - n) = 0 holds nothing u could reach,
+    so it keeps no word."""
+    top = tops[:n]
+    for j in range(n + 1, depth - n + 1):
+        top.append(min(top[a - 1] * top[j - a - 1] for a in range(1, n + 1)))
+    reach = best * (1.0 - 1e-11)
+    return min((reach ** big / top[big - n - 1]
+                for big in range(n + 1, depth + 1) if top[big - n - 1] > 0.0),
+               default=math.inf)
+
+
+def scan_words(mats, depth, node_budget, prune=True) -> WordScan:
+    """Scan over the words of length 1..depth, level by level.
 
     Finds per-depth maxima of averaged norm, the running maximum of the
     averaged spectral value (the depth-n lower bound) and the best
@@ -301,35 +367,75 @@ def scan_words(mats, depth, node_budget) -> WordScan:
     Spectral values are taken on Lyndon words only, since rho is
     invariant under rotation and a power u^k ties the shorter u, and only
     on those whose bounds can still beat the witness (``level_witness``).
-    A level is scanned only when it fits in the remaining node budget.
+    A level is built only when it fits in the remaining node budget (and
+    its base-K codes in int64), and ``nodes`` counts the words built.
+
+    Before a level of at least ``_PRUNE_FROM`` words is built, the words
+    of its parent level whose Frobenius norm lies below ``_prefix_floor``
+    (by the screen margin, and from ``_SCREEN_FLOOR`` up) are dropped:
+    none of their extensions can hold a level maximum or pass the
+    witness's own floor, so the answers are those of the whole scan
+    (``prune=False``).  That argument needs every level maximum to reach
+    the witness; when one ends below it (an inverted bracket) or a level
+    loses every word, the scan is redone whole, and the redone scan's
+    record (its nodes too) is the answer.
     """
     K, d, _ = mats.shape
     max_rho = np.zeros(depth)
     max_norm = np.zeros(depth)
+    tops = []
     best_val, best_word = -1.0, ()
     lower = 0.0
     nodes = 0
     completed = True
+    pruned = False
     prods = np.eye(d, dtype=mats.dtype)[None]
+    # a pruned level carries the base-K codes of its words and the lengths
+    # of their longest Lyndon prefixes; a whole level's codes are 0..K^n-1
+    codes = lengths = kept = None
     for n in range(1, depth + 1):
-        m = prods.shape[0] * K
-        if nodes + m > node_budget:
+        m = (prods.shape[0] if kept is None else kept.size) * K
+        if nodes + m > node_budget or K ** n > _MAX_CODE:
             completed = False
             break
-        prods = children(prods, mats)
+        prods, kept = children(prods, mats, kept), None
         nodes += m
+        if codes is None:
+            lyndon = lyndon_index(K, n)
+        else:
+            ref = codes // K ** np.maximum(lengths - 1, 0) % K
+            lengths, mask = necklace_step(lengths, ref, K, n)
+            codes = (codes[:, None] * K + np.arange(K)).ravel()
+            lyndon = np.flatnonzero(mask)
         fro = frobenius(prods)
         _, norms = _screened(two_norms, _gram, prods, fro, np.arange(m))
         top = float(norms.max())
+        tops.append(top)
         max_norm[n - 1] = top ** (1.0 / n) if top > 0.0 else 0.0
-        found = level_witness(prods, fro, lyndon_index(K, n), n, best_val)
+        found = level_witness(prods, fro, lyndon, n, best_val)
         if found:
             j, val, level_max = found
             lower = max(lower, level_max)
             if val > best_val + 1e-12 * max(best_val, 1.0):
-                best_val, best_word = val, _word(j, K, n)
+                best_val = val
+                best_word = _word(j if codes is None else int(codes[j]), K, n)
         max_rho[n - 1] = lower
+        if prune and n < depth and m * K >= _PRUNE_FROM and best_val > 0.0:
+            floor = _prefix_floor(tops, n, depth, best_val) * _SCREEN_MARGIN
+            keep = (fro >= floor) | (fro < _SCREEN_FLOOR)
+            if not keep.any():
+                return scan_words(mats, depth, node_budget, prune=False)
+            if keep.all():
+                continue
+            pruned = True
+            kept = np.flatnonzero(keep)
+            if codes is None:
+                codes, lengths = kept, _full_level(K, n)[0][kept]
+            else:
+                codes, lengths = codes[kept], lengths[kept]
     levels = depth if completed else n - 1
+    if pruned and np.any(max_norm[:levels] < best_val * (1.0 - 1e-11)):
+        return scan_words(mats, depth, node_budget, prune=False)
     return WordScan(max_rho, max_norm, best_val, best_word, nodes, levels,
                     completed)
 

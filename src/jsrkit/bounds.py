@@ -7,14 +7,20 @@ by submultiplicativity).  ``pruned_search`` narrows the bracket with a
 Gripenberg-style branch-and-bound instead of exhausting every depth.
 
 Both walk the word tree level by level through the batched frontier step
-of ``_kernels``; the exhaustive scan (``_kernels.scan_words``) takes
-singular values only where two exact screens, the Frobenius norm and then
-||P^H P||_F^(1/2), say the level maximum can be, and the pruned search
-takes an SVD only of the words whose Frobenius norm does not already
-decide the cut (``_kernels.norms_above``).  Both take eigenvalues only of
-the Lyndon words whose bounds, ||P||_F and ||P^2||_F^(1/2), can still beat
-the running witness (``_kernels.level_witness``).  Both work on the
-family over its scale (``MatrixFamily.normalized_mats``).
+of ``_kernels``.  The exhaustive scan (``_kernels.scan_words``) builds
+only the words that can still hold a level maximum or beat the witness
+(a word u of level n is dropped once ||P_u||_F M(N - n) stays below the
+witness^N at every deeper level N, and a scan whose bracket inverts is
+redone whole), so its answers are those of a scan of every word, and
+takes singular values only where exact screens, the Frobenius norm and
+then the Gelfand chain ||(P^H P)^(2^(k-1))||_F^(2^-k), say the level
+maximum can be.  The pruned search takes an SVD only of the words whose
+Frobenius norm does not already decide the cut
+(``_kernels.norms_above``).  Both take eigenvalues only of the Lyndon
+words whose bounds, ||P||_F and ||P^(2^k)||_F^(2^-k) for k = 1, 2, 3, can
+still beat the running witness (``_kernels.level_witness``).  Both work
+on the family over its scale (``MatrixFamily.normalized_mats``), and
+both count in ``nodes_visited`` the words they build.
 
 Tie rule, shared by both: values are compared on the family divided by
 its scale, so a rescaled family decides the same way.  A level's witness
@@ -79,9 +85,12 @@ def bounds_bracket(family: MatrixFamily, depth: int,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> BoundsBracket:
     """Exhaustive bracket [lower, upper] at one depth.
 
-    On budget exhaustion the bracket is flagged incomplete but stays
-    sound: the lower is attained, and the upper is the minimum over the
-    levels scanned before the cut (each was scanned whole), or
+    ``nodes_visited`` counts the words the scan built, only those that
+    can still hold a level maximum or beat the witness, so a node budget
+    buys depth: a level is built only when it fits in what is left.  On
+    budget exhaustion the bracket is flagged incomplete but stays sound:
+    the lower is attained, and the upper is the minimum over the levels
+    scanned before the cut (each one's maximum is exact), or
     max_k ||S_k|| when not even level 1 fit.  ``depth_explored`` counts
     the levels scanned.
     """

@@ -11,7 +11,7 @@ from jsrkit import (MatrixFamily, _kernels, averaged_norm_value,
                     bounds_bracket, pruned_search)
 from jsrkit.bounds import BoundsBracket, BudgetExceededError
 
-from conftest import PHI, random_family
+from conftest import PHI, gate_families, prefix_floor, random_family
 
 
 def brute_lower(family, depth):
@@ -61,12 +61,15 @@ def _root(family):
             np.zeros((1, 0), np.int64), np.ones(1, np.int64))
 
 
-def reference_bracket(family, depth, budget):
+def reference_bracket(family, depth, budget, prune=True):
     """``bounds_bracket`` from SVDs of every word and eigenvalues of every
-    Lyndon word."""
+    Lyndon word.  Before a level of at least 1024 words, the parents whose
+    Frobenius norm lies below ``prefix_floor`` (by the 1e-10 margin, from
+    1e-140 up) are not extended.  A walk that loses a whole level, or
+    whose level maximum ends below the witness, is redone whole."""
     mats, prods, words, lengths = _root(family)
     best_val, best_word = -1.0, (1,)
-    tops, nodes, complete = [], 0, True
+    tops, nodes, complete, pruned = [], 0, True, False
     for n in range(1, depth + 1):
         if nodes + prods.shape[0] * family.size > budget:
             complete = False
@@ -75,11 +78,23 @@ def reference_bracket(family, depth, budget):
         words, lengths, lyndon = _kernels.child_necklaces(words, lengths,
                                                           family.size)
         nodes += prods.shape[0]
-        top = float(_kernels.two_norms(prods).max())
-        tops.append(top ** (1.0 / n) if top > 0.0 else 0.0)
+        tops.append(float(_kernels.two_norms(prods).max()))
         best_val, best_word = _unscreened_rule(prods, words, lyndon, n,
                                                best_val, best_word)
-    upper = float(np.min(np.array(tops) * family.scale, initial=family.scale))
+        if (prune and n < depth and prods.shape[0] * family.size >= 1024
+                and best_val > 0.0):
+            fro = np.linalg.norm(prods, axis=(1, 2))
+            floor = prefix_floor(tops, n, depth, best_val) * (1.0 - 1e-10)
+            keep = (fro >= floor) | (fro < 1e-140)
+            if not keep.any():
+                return reference_bracket(family, depth, budget, prune=False)
+            pruned |= not keep.all()
+            prods, words, lengths = prods[keep], words[keep], lengths[keep]
+    tops = np.array([t ** (1.0 / n) if t > 0.0 else 0.0
+                     for n, t in enumerate(tops, start=1)])
+    if pruned and np.any(tops < best_val * (1.0 - 1e-11)):
+        return reference_bracket(family, depth, budget, prune=False)
+    upper = float(np.min(tops * family.scale, initial=family.scale))
     return BoundsBracket(max(best_val, 0.0) * family.scale, upper, best_word,
                          len(tops), nodes, complete)
 
@@ -164,6 +179,16 @@ class TestAgainstUnscreenedReference:
             fam, depth, budget)
         assert pruned_search(fam, tol, budget) == reference_pruned(
             fam, tol, budget)
+
+    @given(gate_families())
+    @settings(max_examples=40, deadline=None)
+    def test_same_brackets_past_the_gate(self, case):
+        # levels of 1024 words and more, where the scan prunes: the same
+        # bracket from the same number of words
+        mats, depth = case
+        fam = MatrixFamily(mats)
+        assert bounds_bracket(fam, depth) == reference_bracket(fam, depth,
+                                                               10**6)
 
     def test_near_tie_goes_to_the_longer_word(self):
         # the case above is what it claims: (1, 2) beats (1,) by > 1e-12
@@ -319,6 +344,14 @@ class TestBudget:
                 # the per-depth report needs every level, so it raises
                 with pytest.raises(BudgetExceededError):
                     berger_wang_report(fam, 10, node_budget=budget)
+
+    def test_budget_buys_depth(self, golden_pair):
+        # the pruned scan builds 1050 words to depth 12, where every word
+        # makes 8190: a budget of 4096 no longer stops it at depth 11
+        b = bounds_bracket(golden_pair, 12, node_budget=4096)
+        assert b == bounds_bracket(golden_pair, 12)
+        assert b.complete and b.depth_explored == 12
+        assert b.nodes_visited == 1050
 
     def test_report_raises(self, golden_pair):
         with pytest.raises(BudgetExceededError):

@@ -22,7 +22,7 @@ from jsrkit import MatrixFamily, _kernels
 from jsrkit.config import RENORM_EVERY
 from jsrkit.matrix_core import operator_norm, spectral_radius, word_product
 
-from conftest import random_family
+from conftest import gate_families, prefix_floor, random_family
 
 REL = 1e-12
 
@@ -51,31 +51,51 @@ def _first_near_max(scored, tie):
     return next((v, w) for v, w in scored if v >= top - tie)
 
 
-def brute_scan(mats, depth, budget=10**6, dedup=True):
+def brute_scan(mats, depth, budget=10**6, dedup=True, prune=True):
     """The scan's answers from every word; with ``dedup`` spectral values
-    are taken on canonical words only, without it on every word."""
+    are taken on canonical words only, without it on every word.  The
+    node count is that of the pruned walk: before a level of at least 1024
+    words, a parent whose Frobenius norm lies below ``prefix_floor`` (by
+    the 1e-10 margin, from 1e-140 up) is not extended.  A walk that loses
+    a whole level, or whose level maximum ends below the witness, is
+    redone with every word (``prune=False``)."""
     fam = MatrixFamily(mats)
     k = fam.size
     max_rho = np.zeros(depth)
     max_norm = np.zeros(depth)
     rhos = []  # (value, word), shortest then lexicographic
+    tops, built, pruned = [], [()], False
     nodes, complete = 0, True
     for n in range(1, depth + 1):
-        words = list(itertools.product(range(1, k + 1), repeat=n))
-        if nodes + len(words) > budget:
+        level = [u + (a,) for u in built for a in range(1, k + 1)]
+        if nodes + len(level) > budget:
             complete = False
             break
-        nodes += len(words)
-        for w in words:
+        nodes += len(level)
+        tops.append(0.0)
+        for w in itertools.product(range(1, k + 1), repeat=n):
             p = word_product(fam, w)
             nrm = operator_norm(p)
+            tops[-1] = max(tops[-1], nrm)
             max_norm[n - 1] = max(max_norm[n - 1], nrm ** (1.0 / n))
             if dedup and not is_canonical(w):
                 continue
             av = spectral_radius(p) ** (1.0 / n)
             max_rho[n - 1] = max(max_rho[n - 1], av)
             rhos.append((av, w))
+        best = max(v for v, _ in rhos)
+        if prune and n < depth and len(level) * k >= 1024 and best > 0.0:
+            floor = prefix_floor(tops, n, depth, best) * (1.0 - 1e-10)
+            fro = [np.linalg.norm(word_product(fam, w)) for w in level]
+            built = [w for w, f in zip(level, fro) if f >= floor or f < 1e-140]
+            if not built:
+                return brute_scan(mats, depth, budget, dedup, prune=False)
+            pruned |= len(built) < len(level)
+        else:
+            built = level
     best_val, best_word = _first_near_max(rhos, 1e-12 * max(max_rho.max(), 1.0))
+    if pruned and np.any(max_norm[:len(tops)] < best_val * (1.0 - 1e-11)):
+        return brute_scan(mats, depth, budget, dedup, prune=False)
     return max_rho, max_norm, best_val, best_word, nodes, complete
 
 
@@ -385,18 +405,22 @@ class TestScreen:
     @settings(max_examples=200, deadline=None)
     def test_bounds_reach_their_values(self, prods):
         # every bound the screens use is at least its computed value, less
-        # the margin: ||P||_F for both, ||P^2||_F^(1/2) for rho and
-        # ||P^H P||_F^(1/2) for ||P||_2, with the rounding term; each from
-        # its floor up, where the squares it sums do not underflow
+        # the margin: ||P||_F for both, then the Gelfand chain
+        # ||Q^(2^(k-1))||_F^(2^-k), k = 1..3, with Q = P^2 for rho and
+        # P^H P for ||P||_2, with the rounding term; each from its floor
+        # up, where the squares it sums do not underflow
         fro = _kernels.frobenius(prods)
         for values_of, squared in ((_kernels.spectral_radii, _kernels._square),
                                    (_kernels.two_norms, _kernels._gram)):
             cut = values_of(prods) * _kernels._SCREEN_MARGIN
             trusted = cut >= _kernels._SCREEN_FLOOR
             assert np.all(fro[trusted] >= cut[trusted])
-            bound = _kernels._squared_bound(squared, prods, fro)
-            trusted = cut >= _kernels._SQUARE_FLOOR
-            assert np.all(bound[trusted] >= cut[trusted] ** 2)
+            power = squared(prods)
+            for k in range(1, len(_kernels._CHAIN_FLOORS) + 1):
+                bound = _kernels.frobenius(power) + 1e-10 * fro ** 2 ** k
+                trusted = cut >= _kernels._CHAIN_FLOORS[k - 1]
+                assert np.all(bound[trusted] >= cut[trusted] ** 2 ** k)
+                power = power @ power
 
     def test_largest_norm_with_small_radius(self):
         # the two largest Frobenius norms belong to almost nilpotent words;
@@ -688,3 +712,69 @@ class TestPathEquivalence:
         res = _kernels.scan_words(mat, 5, 10**6)
         assert np.all(res.max_norm == 0.0)
 
+
+def assert_same_answers(res, whole):
+    """Bit for bit: the bracket ends, the per-level maxima and the witness."""
+    np.testing.assert_array_equal(res.max_rho, whole.max_rho)
+    np.testing.assert_array_equal(res.max_norm, whole.max_norm)
+    assert res.best_val == whole.best_val
+    assert res.best_word == whole.best_word
+    assert (res.levels, res.complete) == (whole.levels, whole.complete)
+
+
+class TestPrunedScan:
+    @given(gate_families())
+    @settings(max_examples=60, deadline=None)
+    def test_same_answers_as_the_whole_scan(self, case):
+        # the pruned scan builds fewer words and answers as the scan of
+        # every word does
+        mats, depth = case
+        res = _kernels.scan_words(mats, depth, 10**6)
+        whole = _kernels.scan_words(mats, depth, 10**6, prune=False)
+        assert_same_answers(res, whole)
+        assert res.nodes <= whole.nodes
+
+    @pytest.mark.parametrize("mats", [
+        # every word of level 9 falls below the prefix floor
+        [np.diag([1.0, 0.3]), 0.5 * np.array([[0.8, -0.6], [0.6, 0.8]])],
+        # only 0.999^9 I stays, whose extensions reach 0.991 at level 10
+        [np.diag([1.0, 0.0]), 0.999 * np.eye(2)]])
+    def test_overstated_witness_redoes_the_whole_scan(self, mats,
+                                                      monkeypatch):
+        # spectral radii overstated by 1e-6 put the witness above every
+        # level maximum, 1 from the powers of diag(1, .): the prefix floor
+        # then cuts those powers, and the empty level or the inverted
+        # bracket that follows makes the scan build every word, so the
+        # upper end stays 1
+        radii = _kernels.spectral_radii
+        monkeypatch.setattr(_kernels, "spectral_radii",
+                            lambda prods: (1.0 + 1e-6) * radii(prods))
+        mats = np.array(mats)
+        res = _kernels.scan_words(mats, 10, 10**6)
+        whole = _kernels.scan_words(mats, 10, 10**6, prune=False)
+        assert_same_answers(res, whole)
+        assert res.nodes == whole.nodes == 2 ** 11 - 2
+        assert res.best_val == 1.0 + 1e-6 and res.max_norm.min() == 1.0
+
+
+class TestGelfandChain:
+    def test_fewer_words_valued_on_a_triangular_family(self, monkeypatch):
+        # a unitarily conjugated triangular family, whose nearly defective
+        # products pass ||P^2||_F^(1/2): ||P^4||_F^(1/4) and ||P^8||_F^(1/8)
+        # cut them against the witness, so eigvals values the letters only,
+        # and the witness is the same
+        rng = np.random.default_rng(1)
+        t = np.tril(rng.standard_normal((2, 4, 4)))
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        mats = MatrixFamily(q.T @ t @ q).normalized_mats()
+        radii = _kernels.spectral_radii
+        scans = {}
+        for steps in (3, 1):
+            values_of, calls = _counting(radii)
+            monkeypatch.setattr(_kernels, "spectral_radii", values_of)
+            monkeypatch.setattr(_kernels, "_CHAIN_FLOORS",
+                                _kernels._CHAIN_FLOORS[:steps])
+            scans[steps] = _kernels.scan_words(mats, 10, 10**6), calls
+        (chain, chain_calls), (square, square_calls) = scans[3], scans[1]
+        assert chain_calls == [2] and sum(square_calls) > 2
+        assert_same_answers(chain, square)
