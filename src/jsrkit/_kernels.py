@@ -12,7 +12,13 @@ every walk from the length p of each word's longest Lyndon prefix,
 carried from parent to child in O(1) beside the words.
 
 ``scan_words`` keeps only the words that can still hold a level maximum
-or beat the spectral witness.  A whole level of length n is the base-K
+or beat the spectral witness, and it stops at the first level where its
+bracket closes: the least level maximum so far, min over m <= n of
+``max_norm[m]``, within 1e-12 of the witness value, relative (both
+normalized; 0 and 0 close too).  No deeper word's rho^(1/N) <= rho <=
+upper can then beat the witness by the scan's own 1e-12 tie, so the lower
+end and the witness are those of the full depth, and the upper end moves
+only by rounding.  A whole level of length n is the base-K
 codes c = 0..K^n-1 (Lyndon words come from ``lyndon_index``, cached per
 (K, n)).  Before a level of at least ``_PRUNE_FROM`` words is built, a
 parent u whose Frobenius norm lies below ``_prefix_floor`` is dropped:
@@ -370,6 +376,15 @@ def scan_words(mats, depth, node_budget, prune=True) -> WordScan:
     A level is built only when it fits in the remaining node budget (and
     its base-K codes in int64), and ``nodes`` counts the words built.
 
+    After each level, a bracket whose upper end, the least ``max_norm``
+    so far, lies within 1e-12 of ``best_val`` relative, in either
+    direction, is closed: the scan stops there, complete, with ``levels``
+    the levels scanned, and the entries of ``max_rho`` and ``max_norm``
+    past it stay 0.  A deeper word cannot beat the witness by the 1e-12
+    tie, since its averaged value is at most rho, itself at most the
+    upper end, so the lower end and the witness are those of the full
+    depth.  An inverted bracket beyond the tie never closes.
+
     Before a level of at least ``_PRUNE_FROM`` words is built, the words
     of its parent level whose Frobenius norm lies below ``_prefix_floor``
     (by the screen margin, and from ``_SCREEN_FLOOR`` up) are dropped:
@@ -385,8 +400,8 @@ def scan_words(mats, depth, node_budget, prune=True) -> WordScan:
     max_norm = np.zeros(depth)
     tops = []
     best_val, best_word = -1.0, ()
-    lower = 0.0
-    nodes = 0
+    lower, upper = 0.0, math.inf
+    nodes = levels = 0
     completed = True
     pruned = False
     prods = np.eye(d, dtype=mats.dtype)[None]
@@ -420,6 +435,9 @@ def scan_words(mats, depth, node_budget, prune=True) -> WordScan:
                 best_val = val
                 best_word = _word(j if codes is None else int(codes[j]), K, n)
         max_rho[n - 1] = lower
+        levels, upper = n, min(upper, max_norm[n - 1])
+        if abs(upper - best_val) <= 1e-12 * best_val:  # closed
+            break
         if prune and n < depth and m * K >= _PRUNE_FROM and best_val > 0.0:
             floor = _prefix_floor(tops, n, depth, best_val) * _SCREEN_MARGIN
             keep = (fro >= floor) | (fro < _SCREEN_FLOOR)
@@ -433,7 +451,6 @@ def scan_words(mats, depth, node_budget, prune=True) -> WordScan:
                 codes, lengths = kept, _full_level(K, n)[0][kept]
             else:
                 codes, lengths = codes[kept], lengths[kept]
-    levels = depth if completed else n - 1
     if pruned and np.any(max_norm[:levels] < best_val * (1.0 - 1e-11)):
         return scan_words(mats, depth, node_budget, prune=False)
     return WordScan(max_rho, max_norm, best_val, best_word, nodes, levels,

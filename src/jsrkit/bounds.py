@@ -20,7 +20,11 @@ Frobenius norm does not already decide the cut
 words whose bounds, ||P||_F and ||P^(2^k)||_F^(2^-k) for k = 1, 2, 3, can
 still beat the running witness (``_kernels.level_witness``).  Both work
 on the family over its scale (``MatrixFamily.normalized_mats``), and
-both count in ``nodes_visited`` the words they build.
+both count in ``nodes_visited`` the words they build.  The scan stops at
+the first level where its bracket closes, the upper end within 1e-12 of
+the lower relative (or both 0): no deeper word can beat the witness by
+the tie below, so its ends are those of the full depth, the upper to
+rounding, and ``depth_explored`` and ``nodes_visited`` fall.
 
 Tie rule, shared by both: values are compared on the family divided by
 its scale, so a rescaled family decides the same way.  A level's witness
@@ -65,20 +69,31 @@ class BudgetExceededError(RuntimeError):
 def _scan(family: MatrixFamily, depth: int,
           node_budget: int) -> _kernels.WordScan:
     """Exhaustive word-tree scan, rescaled for overflow safety.  Before
-    level 1 the spectral witness is the word (1,) with value 0; a zero
-    family scans every level in one, if level 1 fits the budget."""
+    level 1 the spectral witness is the word (1,) with value 0."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     scale = family.scale
-    if scale == 0.0:
-        fits = family.size <= node_budget
-        return _kernels.WordScan(np.zeros(depth), np.zeros(depth), 0.0, (1,),
-                                 family.size * fits, depth * fits, fits)
     res = _kernels.scan_words(family.normalized_mats(), depth, node_budget)
     return replace(res, max_rho=res.max_rho * scale,
                    max_norm=res.max_norm * scale,
                    best_val=max(res.best_val, 0.0) * scale,
                    best_word=res.best_word or (1,))
+
+
+def _bracket(res: _kernels.WordScan, scale: float) -> BoundsBracket:
+    upper = float(np.min(res.max_norm[:res.levels], initial=scale))
+    return BoundsBracket(res.best_val, upper, res.best_word, res.levels,
+                         res.nodes, res.complete)
+
+
+def _table(res: _kernels.WordScan, node_budget: int) -> list[dict]:
+    if not res.complete:
+        raise BudgetExceededError(
+            f"node budget {node_budget} exhausted at {res.nodes} nodes")
+    n = res.levels
+    upper = np.minimum.accumulate(res.max_norm[:n])
+    return [{"n": j, "lower": float(lo), "upper": float(up)}
+            for j, lo, up in zip(range(1, n + 1), res.max_rho, upper)]
 
 
 def bounds_bracket(family: MatrixFamily, depth: int,
@@ -92,12 +107,12 @@ def bounds_bracket(family: MatrixFamily, depth: int,
     the lower is attained, and the upper is the minimum over the levels
     scanned before the cut (each one's maximum is exact), or
     max_k ||S_k|| when not even level 1 fit.  ``depth_explored`` counts
-    the levels scanned.
+    the levels scanned.  A bracket that closes, upper within 1e-12 of
+    lower relative (or both 0), ends the scan: no deeper word can beat
+    the witness, so ``depth_explored`` below ``depth`` with ``complete``
+    True means closed at that depth, with the answers of the full depth.
     """
-    res = _scan(family, depth, node_budget)
-    upper = float(np.min(res.max_norm[:res.levels], initial=family.scale))
-    return BoundsBracket(res.best_val, upper, res.best_word, res.levels,
-                         res.nodes, res.complete)
+    return _bracket(_scan(family, depth, node_budget), family.scale)
 
 
 def berger_wang_report(family: MatrixFamily, depth: int,
@@ -106,15 +121,10 @@ def berger_wang_report(family: MatrixFamily, depth: int,
 
     The two columns converge to the same value (the Berger-Wang equality
     of the generalized and joint spectral radii); the report shows how
-    fast they do at this depth.
+    fast they do at this depth.  A closed bracket ends the scan, so the
+    rows end at the depth where it closed.
     """
-    res = _scan(family, depth, node_budget)
-    if not res.complete:
-        raise BudgetExceededError(
-            f"node budget {node_budget} exhausted at {res.nodes} nodes")
-    upper = np.minimum.accumulate(res.max_norm)
-    return [{"n": n, "lower": float(lo), "upper": float(up)}
-            for n, lo, up in zip(range(1, depth + 1), res.max_rho, upper)]
+    return _table(_scan(family, depth, node_budget), node_budget)
 
 
 def pruned_search(family: MatrixFamily, tol: float,

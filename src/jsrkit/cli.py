@@ -142,19 +142,26 @@ def _load_family(args) -> MatrixFamily:
 
 
 def _cmd_bounds(args, family):
+    # one scan gives the exhaustive bracket and the per-depth table
+    scan = (bounds_mod._scan(family, args.depth, args.budget)
+            if args.table or not args.prune else None)
     if args.prune:
         bracket = bounds_mod.pruned_search(family, args.tol, args.budget)
     else:
-        bracket = bounds_mod.bounds_bracket(family, args.depth, args.budget)
+        bracket = bounds_mod._bracket(scan, family.scale)
+    # a complete scan that stopped short of the depth closed its bracket
+    closed = (not args.prune and bracket.complete
+              and bracket.depth_explored < args.depth)
     lines = [
         f"lower  {bracket.lower:.12g}  (word {','.join(map(str, bracket.best_word))})",
         f"upper  {bracket.upper:.12g}",
         f"width  {bracket.width:.3e}   depth {bracket.depth_explored}   "
-        f"nodes {bracket.nodes_visited}   complete {bracket.complete}",
+        f"nodes {bracket.nodes_visited}   complete {bracket.complete}"
+        + (f"   closed at depth {bracket.depth_explored}" if closed else ""),
     ]
     results = {"bracket": bracket}
     if args.table:
-        rows = bounds_mod.berger_wang_report(family, args.depth, args.budget)
+        rows = bounds_mod._table(scan, args.budget)
         results["berger_wang"] = rows
         lines.append(f"{'n':>4} {'lower':>16} {'upper':>16}")
         for r in rows:

@@ -14,7 +14,11 @@ a factor 100 of RANK_TOL, a proper orbit invariant to RANK_TOL * 1e-2),
 the algebra closure decides.  Reducible families are split recursively
 into a lower-block-triangular form with irreducible diagonal blocks; the
 block with the largest joint spectral radius carries the family's growth
-rate.  Invariance is for row vectors, x -> x S_k.
+rate.  One test gives two invariant subspaces, the orbit U of v and the
+annihilator Z of w's orbit, and every invariant subspace holds U or lies
+in Z.  So when Z lies in U the section U / Z is irreducible, and the
+split into Z, U / Z and V / U recurses only on Z and V / U (Holt and
+Rees's argument).  Invariance is for row vectors, x -> x S_k.
 """
 
 from __future__ import annotations
@@ -138,10 +142,25 @@ def find_invariant_subspace(family: MatrixFamily, seed: int = 0) -> np.ndarray |
     return _decide(family, seed)[0]
 
 
-def _orbit_test(family: MatrixFamily, seed: int) -> tuple[bool, np.ndarray | None]:
+def _orbit_test(family: MatrixFamily, seed: int) -> tuple[
+        bool, np.ndarray | None, tuple[np.ndarray | None, np.ndarray | None] | None]:
     """Norton's test on theta, a seeded combination of the normalized words
-    of lengths 1 and 2: (True, None) proves irreducibility, (True, W) gives
-    an invariant W (unrefined), and (False, None) means a guard failed."""
+    of lengths 1 and 2: (decided, W, section).  A failed guard gives
+    (False, None, None).  Otherwise W is None for an irreducible family,
+    else the proper orbit (unrefined) with the smaller invariance
+    residual.  U is the orbit of v (None when it is the space) and Z the
+    annihilator of w's orbit (None when it is 0).  Every invariant
+    subspace holds v, and then U, or lies in Z, as lambda is an eigenvalue
+    of theta on it or not (over the reals, with the plane ker q(theta) in
+    place of v's line; it meets Z in 0).  So a subspace between Z and U
+    is one of them, and when every proper orbit passed the residual
+    guard, ``section`` is (Z, U), U / Z irreducible, if Z lies in U to
+    RANK_TOL * 1e-2.  If instead V = U + Z with U n Z = 0 (dimensions
+    that add up to d, and the least singular value of their stacked rows
+    above RANK_TOL * 1e2), U and
+    V / Z are irreducible, and ``section`` keeps the one of them that
+    W's split gives: (None, U) when W is U, else (Z, None).  Otherwise
+    it is None."""
     d, real = family.dim, family.is_real
     gens = family.normalized_mats()
     words = np.concatenate([gens, _kernels.children(gens, gens)])
@@ -154,7 +173,7 @@ def _orbit_test(family: MatrixFamily, seed: int) -> tuple[bool, np.ndarray | Non
     i = int(np.argmax(sep))
     j = int(np.argmin(np.abs(lam_t - lam[i])))  # lambda again, as theta^T's
     if not sep[i] > max(_SEPARATION * np.abs(lam).max(), 2 * abs(lam_t[j] - lam[i])):
-        return False, None
+        return False, None, None
     norms = _kernels.frobenius(words)
     letters = words[norms > 0] / norms[norms > 0, None, None]
     # v's orbit, then w's under the transposes, whose annihilator is
@@ -162,7 +181,7 @@ def _orbit_test(family: MatrixFamily, seed: int) -> tuple[bool, np.ndarray | Non
     # and ranked by its singular values against ||parent|| ||letter|| = 1
     # (its own norm would blow rounding noise up to a unit row).  Of two
     # proper orbits, the split with the smaller invariance residual is taken.
-    splits = []
+    found = []  # U, then Z: None when trivial, else (residual, rows)
     for x, mats in ((left[:, j], letters), (right[:, i], letters.swapaxes(1, 2))):
         if real:
             x = x.real if np.linalg.norm(x.real) >= np.linalg.norm(x.imag) else x.imag
@@ -173,23 +192,40 @@ def _orbit_test(family: MatrixFamily, seed: int) -> tuple[bool, np.ndarray | Non
                 level -= (level @ rows.conj().T) @ rows
             _, sv, vh = np.linalg.svd(level, full_matrices=False)
             if ((RANK_TOL * 1e-2 < sv) & (sv < RANK_TOL * 1e2)).any():
-                return False, None
+                return False, None, None
             new = vh[:np.count_nonzero(sv > RANK_TOL)]
             new -= (new @ rows.conj().T) @ rows  # the rounding of a small sv
             rows = np.concatenate([rows, new])
         if len(rows) < d:
             w = rows if mats is letters else np.linalg.svd(rows.conj())[2][len(rows):]
-            splits.append((_invariance_residual(w, family), w))
+            found.append((_invariance_residual(w, family), w))
+        else:
+            found.append(None)
+    tol = RANK_TOL * 1e-2
+    splits = [split for split in found if split is not None]
     residual, w = min(splits, key=lambda split: split[0], default=(0.0, None))
-    return (True, w) if residual <= RANK_TOL * 1e-2 else (False, None)
+    if residual > tol:
+        return False, None, None
+    u, z = (None if split is None else split[1] for split in found)
+    if any(r > tol for r, _ in splits):
+        return True, w, None
+    if u is not None and z is not None:
+        if np.linalg.norm(z - (z @ u.conj().T) @ u) > tol:  # Z not in U
+            if len(u) + len(z) != d or np.linalg.svd(
+                    np.concatenate([u, z]), compute_uv=False)[-1] <= RANK_TOL * 1e2:
+                return True, w, None
+            # V = U + Z, U n Z = 0: the side of w's split that is U or V / Z
+            u, z = (u, None) if w is u else (None, z)
+    return True, w, (z, u)
 
 
-def _decide(family: MatrixFamily, seed: int) -> tuple[np.ndarray | None, int]:
+def _decide(family: MatrixFamily, seed: int, test=None) -> tuple[np.ndarray | None, int]:
     # the one decision of is_irreducible, find_invariant_subspace and
-    # block_triangularize, and the closures it ran: the orbit test, else a
-    # certain closure of dimension d^2, a verified subspace or a real proof;
-    # a subspace takes one Newton step (``_refine``)
-    decided, w = _orbit_test(family, seed)
+    # block_triangularize, and the closures it ran: the orbit test (or its
+    # (decided, W) ``test``), else a certain closure of dimension d^2, a
+    # verified subspace or a real proof; a subspace takes one Newton step
+    # (``_refine``)
+    decided, w = test or _orbit_test(family, seed)[:2]
     if not decided:
         alg = _certain(algebra_closure(family))
         if alg.dimension < family.dim ** 2:
@@ -309,24 +345,45 @@ def block_triangularize(family: MatrixFamily, seed: int = 0) -> ReductionResult:
     block is irreducible, over the reals for a real family, whose
     transform and blocks are then float64.  The assembled transform is
     unitary (nested orthonormal completions), so it is as well-conditioned
-    as possible.  Each block is decided by the orbit test, or where one of
-    its guards fails by the algebra closure (module docstring), which
-    raises ToleranceConflictError when uncertain; ``closures`` counts them."""
+    as possible.  Each family runs the orbit test once.  Where it yields a
+    section (``_orbit_test``), Z in U, the family splits into Z, U / Z and
+    V / U, and U / Z is a block without a test of its own: Norton's
+    criterion holds on it, as lambda is simple there, v generates it and
+    w its dual.  Only Z and V / U recurse.  A
+    direct sum V = U + Z splits in two along the test's answer, and its
+    side that holds lambda is such a block too.  Otherwise the family
+    splits in two along that answer, or where one of the test's guards
+    fails along the algebra closure's (module docstring), which raises
+    ToleranceConflictError when uncertain; ``closures`` counts them."""
     d = family.dim
     if d == 1:
         return _whole(family)
-    w, closures = _decide(family, seed)
-    if w is None:  # irreducible
+    decided, w, section = _orbit_test(family, seed)
+    if section is None:
+        w, closures = _decide(family, seed, (decided, w))
+        flag, leaf = ([] if w is None else [w]), None
+    else:  # the pieces Z, U / Z, V / U that are not 0; U / Z is the leaf
+        closures, leaf = 0, int(section[0] is not None)
+        flag = [_refine(x, family) for x in section if x is not None]
+    if not flag:  # irreducible
         return _whole(family, closures)
-    m, p_inv = len(w), np.linalg.svd(w)[2]  # first m rows span the subspace
+    # rows whose first len(x) span x, for each subspace x of the flag
+    p_inv = np.linalg.svd(flag[0])[2]
+    for prev, x in zip(flag, flag[1:]):
+        m = len(prev)
+        p_inv[m:] = np.linalg.svd(x @ p_inv[m:].conj().T)[2] @ p_inv[m:]
     t = np.einsum("ij,kjl,lm->kim", p_inv, family.mats, p_inv.conj().T)
-    top, bottom = (block_triangularize(MatrixFamily(np.ascontiguousarray(t[:, s, s])), seed)
-                   for s in (slice(m), slice(m, d)))
+    cuts = [0] + [len(x) for x in flag] + [d]
     q = np.zeros((d, d), dtype=family.mats.dtype)
-    q[:m, :m], q[m:, m:] = top.transform, bottom.transform
-    return ReductionResult(family, p_inv.conj().T @ q, top.block_sizes + bottom.block_sizes,
-                           top.blocks + bottom.blocks,
-                           closures=closures + top.closures + bottom.closures)
+    parts = []
+    for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        block = MatrixFamily(np.ascontiguousarray(t[:, a:b, a:b]))
+        parts.append(_whole(block) if j == leaf else block_triangularize(block, seed))
+        q[a:b, a:b] = parts[-1].transform
+    return ReductionResult(family, p_inv.conj().T @ q,
+                           sum((r.block_sizes for r in parts), ()),
+                           sum((r.blocks for r in parts), ()),
+                           closures=closures + sum(r.closures for r in parts))
 
 
 def _whole(family: MatrixFamily, closures: int = 0) -> ReductionResult:
@@ -351,7 +408,13 @@ def dominant_blocks(result: ReductionResult, depth: int,
     When brackets overlap ambiguously the superset is returned with the
     ambiguity flagged.
     """
-    fam_bracket = bounds_bracket(result.family, depth, node_budget)
+    return _dominance(result, bounds_bracket(result.family, depth, node_budget),
+                      depth, node_budget)
+
+
+def _dominance(result: ReductionResult, fam_bracket: BoundsBracket, depth: int,
+               node_budget: int) -> DominanceReport:
+    # dominant_blocks with the family's bracket already scanned
     brackets = tuple(bounds_bracket(b, depth, node_budget) for b in result.blocks)
     best_lower = max(b.lower for b in brackets)
     tol = 1e-12 * best_lower
@@ -444,7 +507,7 @@ def extremal_subspace(family: MatrixFamily, depth: int,
             "undetermined", rho_est,
             diagnostics="irreducible family and no norm verified at the "
                         "estimate; it may not be tight")
-    report = dominant_blocks(reduction, depth, node_budget)
+    report = _dominance(reduction, bracket, depth, node_budget)
     starts = np.cumsum((0,) + reduction.block_sizes)
     for j in report.certain:
         m = int(starts[j])

@@ -1,10 +1,11 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from jsrkit import MatrixFamily
+from jsrkit import MatrixFamily, io
 
 # golden ratio and friends, fixed by the quadratic-formula oracle:
 # rho([[2,1],[1,1]]) solves x^2 - 3x + 1 = 0
@@ -15,6 +16,14 @@ PHI_SQ = (3.0 + np.sqrt(5.0)) / 2.0
 @pytest.fixture
 def golden_pair():
     return MatrixFamily.from_matrices([[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
+
+
+@pytest.fixture
+def mixed_entries():
+    """A complex K = 2, d = 3 family whose bracket stays open through
+    depth 12 (the golden pair's closes at depth 2), so budgets bind."""
+    return io.parse_family(str(resources.files("jsrkit") / "data"
+                               / "mixed_entries.json"))
 
 
 @pytest.fixture

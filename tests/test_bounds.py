@@ -61,12 +61,15 @@ def _root(family):
             np.zeros((1, 0), np.int64), np.ones(1, np.int64))
 
 
-def reference_bracket(family, depth, budget, prune=True):
+def reference_bracket(family, depth, budget, prune=True, close=True):
     """``bounds_bracket`` from SVDs of every word and eigenvalues of every
     Lyndon word.  Before a level of at least 1024 words, the parents whose
     Frobenius norm lies below ``prefix_floor`` (by the 1e-10 margin, from
     1e-140 up) are not extended.  A walk that loses a whole level, or
-    whose level maximum ends below the witness, is redone whole."""
+    whose level maximum ends below the witness, is redone whole.  The walk
+    ends, complete, at the first level where the running minimum of the
+    averaged level maxima lies within 1e-12 of the witness, relative (both
+    normalized; 0 and 0 count as closed), unless ``close`` is False."""
     mats, prods, words, lengths = _root(family)
     best_val, best_word = -1.0, (1,)
     tops, nodes, complete, pruned = [], 0, True, False
@@ -81,19 +84,23 @@ def reference_bracket(family, depth, budget, prune=True):
         tops.append(float(_kernels.two_norms(prods).max()))
         best_val, best_word = _unscreened_rule(prods, words, lyndon, n,
                                                best_val, best_word)
+        upper = min(t ** (1.0 / m) if t > 0.0 else 0.0
+                    for m, t in enumerate(tops, start=1))
+        if close and abs(upper - best_val) <= 1e-12 * best_val:
+            break
         if (prune and n < depth and prods.shape[0] * family.size >= 1024
                 and best_val > 0.0):
             fro = np.linalg.norm(prods, axis=(1, 2))
             floor = prefix_floor(tops, n, depth, best_val) * (1.0 - 1e-10)
             keep = (fro >= floor) | (fro < 1e-140)
             if not keep.any():
-                return reference_bracket(family, depth, budget, prune=False)
+                return reference_bracket(family, depth, budget, False, close)
             pruned |= not keep.all()
             prods, words, lengths = prods[keep], words[keep], lengths[keep]
     tops = np.array([t ** (1.0 / n) if t > 0.0 else 0.0
                      for n, t in enumerate(tops, start=1)])
     if pruned and np.any(tops < best_val * (1.0 - 1e-11)):
-        return reference_bracket(family, depth, budget, prune=False)
+        return reference_bracket(family, depth, budget, False, close)
     upper = float(np.min(tops * family.scale, initial=family.scale))
     return BoundsBracket(max(best_val, 0.0) * family.scale, upper, best_word,
                          len(tops), nodes, complete)
@@ -197,6 +204,62 @@ class TestAgainstUnscreenedReference:
         assert pruned_search(fam, 1e-13, 3000).best_word == (1, 2)
 
 
+@st.composite
+def closing_cases(draw):
+    """(family, depth, kind): K in 1..3 letters of dimension 1..4, real or
+    complex, at depths that reach the scan's pruning gate.  Hermitian,
+    diagonal, golden-type ({A, A^H}, where rho(A A^H) = ||A||^2), zero and
+    nilpotent (strictly upper triangular) families have brackets that
+    close; random non-normal ones (d >= 2) have brackets that stay open."""
+    kind = draw(st.sampled_from(["hermitian", "diagonal", "golden", "zero",
+                                 "nilpotent", "non-normal"]))
+    k = 2 if kind == "golden" else draw(st.integers(1, 3))
+    d = draw(st.integers(2 if kind == "non-normal" else 1, 4))
+    cplx = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = rng.standard_normal((k, d, d))
+    if cplx:
+        z = z + 1j * rng.standard_normal((k, d, d))
+    if kind == "hermitian":
+        z = z + z.conj().transpose(0, 2, 1)
+    elif kind == "diagonal":
+        z = z * np.eye(d)
+    elif kind == "golden":
+        z = np.stack([z[0], z[0].conj().T])
+    elif kind == "zero":
+        z = 0.0 * z
+    elif kind == "nilpotent":
+        z = np.triu(z, 1)
+    return MatrixFamily(z), {1: 12, 2: 10, 3: 7}[k], kind
+
+
+class TestClosedBracket:
+    @given(closing_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_closing_keeps_the_answers(self, case):
+        # a bracket that closes ends the scan with the lower end and the
+        # witness of the scan to the full depth, bit for bit, and its
+        # upper end to rounding; a non-normal family never closes
+        fam, depth, kind = case
+        b = bounds_bracket(fam, depth)
+        full = reference_bracket(fam, depth, 10**6, close=False)
+        assert b == reference_bracket(fam, depth, 10**6)
+        assert (b.lower, b.best_word) == (full.lower, full.best_word)
+        assert b.upper == pytest.approx(full.upper, rel=1e-12, abs=0.0)
+        assert b.complete and b.nodes_visited <= full.nodes_visited
+        if kind == "non-normal":
+            assert b == full
+        else:
+            assert b.depth_explored < depth
+
+    def test_nilpotent_closes_where_products_vanish(self):
+        # every product of 3 strictly upper triangular 3x3 letters is 0
+        fam = MatrixFamily(np.triu(random_family(4, d=3).mats, 1))
+        b = bounds_bracket(fam, 8)
+        assert (b.lower, b.upper, b.depth_explored) == (0.0, 0.0, 3)
+        assert b.nodes_visited == 2 + 4 + 8 and b.complete
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(6))
     def test_lower_matches_enumeration(self, seed):
@@ -273,8 +336,9 @@ class TestBracketProperties:
         assert b.lower <= b.upper <= fam.scale
 
     def test_zero_family(self):
+        # the bracket [0, 0] closes at level 1, after its K words
         b = bounds_bracket(MatrixFamily(np.zeros((2, 2, 2))), 4)
-        assert b.lower == 0.0 and b.upper == 0.0 and b.complete
+        assert b == BoundsBracket(0.0, 0.0, (1,), 1, 2, True)
 
     def test_tie_break_prefers_short_word(self):
         # both generators are the same diagonal, so every word ties at 2;
@@ -292,6 +356,15 @@ class TestBracketProperties:
             assert b.best_word == (1,)
             assert b.lower == averaged_spectral_value(fam, (1,))
 
+    def test_golden_pair_closes_at_depth_2(self, golden_pair):
+        # rho((1, 2))^(1/2) = phi = ||S_1||: the bracket closes at level 2,
+        # after 6 words, with the ends of the scan of every word to depth
+        # 12 (its lower bit for bit, its upper to rounding)
+        b = bounds_bracket(golden_pair, 12)
+        assert (b.depth_explored, b.nodes_visited, b.complete) == (2, 6, True)
+        assert b.best_word == (1, 2) and b.lower == 1.6180339887498947
+        assert b.upper == pytest.approx(1.6180339887498947, rel=1e-12, abs=0)
+
     def test_golden_pair_depth12(self, golden_pair):
         b = bounds_bracket(golden_pair, 12)
         assert b.lower == pytest.approx(PHI, abs=1e-9)
@@ -300,31 +373,33 @@ class TestBracketProperties:
 
 
 class TestBudget:
-    def test_lower_raises_with_partial(self, golden_pair):
+    def test_lower_raises_with_partial(self, mixed_entries):
         # the per-depth report raises on a cut scan; the partial lower end
         # comes on the bracket, flagged incomplete and attained by its word
+        fam = mixed_entries
         with pytest.raises(BudgetExceededError):
-            berger_wang_report(golden_pair, 10, node_budget=20)
-        b = bounds_bracket(golden_pair, 10, node_budget=20)
+            berger_wang_report(fam, 10, node_budget=20)
+        b = bounds_bracket(fam, 10, node_budget=20)
         assert not b.complete
-        assert 0.0 < b.lower <= PHI + 1e-9
+        assert 0.0 < b.lower <= bounds_bracket(fam, 12).upper
         assert b.lower == pytest.approx(
-            averaged_spectral_value(golden_pair, b.best_word), rel=1e-12)
+            averaged_spectral_value(fam, b.best_word), rel=1e-12)
 
-    def test_upper_raises(self, golden_pair):
+    def test_upper_raises(self, mixed_entries):
         # the report's upper column needs every level, so it raises; the
         # cut bracket's upper end stays sound
+        fam = mixed_entries
         with pytest.raises(BudgetExceededError):
-            berger_wang_report(golden_pair, 10, node_budget=20)
-        b = bounds_bracket(golden_pair, 10, node_budget=20)
+            berger_wang_report(fam, 10, node_budget=20)
+        b = bounds_bracket(fam, 10, node_budget=20)
         assert not b.complete
-        assert PHI <= b.upper + 2e-9
+        assert bounds_bracket(fam, 12).lower <= b.upper
 
-    def test_bracket_falls_back_soundly(self, golden_pair):
+    def test_bracket_falls_back_soundly(self, mixed_entries):
         # a cut scan keeps every level that fit whole in the budget: its
         # bracket is the brute-force bracket at that depth, and with no
         # level at all the upper is max_k ||S_k||
-        for fam in (golden_pair, random_family(3, k=3)):
+        for fam in (mixed_entries, random_family(3, k=3)):
             k = fam.size
             for budget in (1, k, k + k * k, 20, 100):
                 levels = 0
@@ -345,21 +420,21 @@ class TestBudget:
                 with pytest.raises(BudgetExceededError):
                     berger_wang_report(fam, 10, node_budget=budget)
 
-    def test_budget_buys_depth(self, golden_pair):
-        # the pruned scan builds 1050 words to depth 12, where every word
+    def test_budget_buys_depth(self, mixed_entries):
+        # the pruned scan builds 1134 words to depth 12, where every word
         # makes 8190: a budget of 4096 no longer stops it at depth 11
-        b = bounds_bracket(golden_pair, 12, node_budget=4096)
-        assert b == bounds_bracket(golden_pair, 12)
+        b = bounds_bracket(mixed_entries, 12, node_budget=4096)
+        assert b == bounds_bracket(mixed_entries, 12)
         assert b.complete and b.depth_explored == 12
-        assert b.nodes_visited == 1050
+        assert b.nodes_visited == 1134
 
-    def test_report_raises(self, golden_pair):
+    def test_report_raises(self, mixed_entries):
         with pytest.raises(BudgetExceededError):
-            berger_wang_report(golden_pair, 10, node_budget=20)
+            berger_wang_report(mixed_entries, 10, node_budget=20)
 
     def test_zero_family_budget_below_one_level(self):
-        # the zero family's shortcut keeps the budget: with not even level
-        # 1 in it, the bracket is the pruned search's, cut before level 1
+        # with not even level 1 in the budget, the zero family's bracket is
+        # the pruned search's, cut before level 1
         zero = MatrixFamily(np.zeros((3, 2, 2)))
         want = BoundsBracket(0.0, 0.0, (1,), 0, 0, False)
         assert bounds_bracket(zero, 4, node_budget=1) == want

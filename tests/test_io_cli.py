@@ -7,7 +7,7 @@ import pytest
 
 from jsrkit import (MatrixFamily, PeriodicMeasure, PeriodicSequence,
                     block_triangularize, bounds_bracket, certify_finiteness,
-                    check_extremal_norm, cli, corollary_reports,
+                    _kernels, check_extremal_norm, cli, corollary_reports,
                     dominant_blocks, euclidean_certificate, extremal_subspace,
                     extremality_verdict, io, lyapunov_periodic,
                     measure_to_finiteness)
@@ -320,8 +320,30 @@ class TestCliBounds:
         assert code == 0
         assert "lower" in out and "upper" in out
 
-    def test_budget_exhaustion_inconclusive(self, capsys):
+    def test_closed_table_takes_one_scan(self, tmp_path, capsys, monkeypatch):
+        # the golden pair's bracket closes at depth 2: the bracket and its
+        # table come from one scan, and the table ends where it closed
+        scans = []
+        scan_words = _kernels.scan_words
+        monkeypatch.setattr(_kernels, "scan_words",
+                            lambda *a, **k: scans.append(a[1]) or scan_words(*a, **k))
+        report = tmp_path / "run.json"
         code = cli.main(["bounds", data_path("golden_pair.json"), "--depth",
+                         "10", "--table", "--out", str(report)])
+        out = capsys.readouterr().out
+        assert code == 0 and scans == [10]
+        assert "closed at depth 2" in out
+        rows = json.loads(report.read_text())["results"]["berger_wang"]
+        assert [r["n"] for r in rows] == [1, 2]
+        assert rows[-1]["lower"] == pytest.approx(PHI, rel=1e-12)
+        assert rows[-1]["upper"] == pytest.approx(PHI, rel=1e-12)
+
+    def test_open_bracket_is_not_closed(self, capsys):
+        code = cli.main(["bounds", data_path("mixed_entries.json"), "--depth", "6"])
+        assert code == 0 and "closed" not in capsys.readouterr().out
+
+    def test_budget_exhaustion_inconclusive(self, capsys):
+        code = cli.main(["bounds", data_path("mixed_entries.json"), "--depth",
                          "10", "--budget", "20"])
         assert code == 2
 

@@ -58,7 +58,9 @@ def brute_scan(mats, depth, budget=10**6, dedup=True, prune=True):
     words, a parent whose Frobenius norm lies below ``prefix_floor`` (by
     the 1e-10 margin, from 1e-140 up) is not extended.  A walk that loses
     a whole level, or whose level maximum ends below the witness, is
-    redone with every word (``prune=False``)."""
+    redone with every word (``prune=False``).  The walk ends, complete,
+    at the first level where the least averaged level maximum so far lies
+    within 1e-12 of the witness, relative (0 and 0 count as closed)."""
     fam = MatrixFamily(mats)
     k = fam.size
     max_rho = np.zeros(depth)
@@ -84,6 +86,10 @@ def brute_scan(mats, depth, budget=10**6, dedup=True, prune=True):
             max_rho[n - 1] = max(max_rho[n - 1], av)
             rhos.append((av, w))
         best = max(v for v, _ in rhos)
+        witness = _first_near_max(rhos, 1e-12 * max(best, 1.0))[0]
+        upper = min(max_norm[:n])
+        if abs(upper - witness) <= 1e-12 * witness:  # closed
+            break
         if prune and n < depth and len(level) * k >= 1024 and best > 0.0:
             floor = prefix_floor(tops, n, depth, best) * (1.0 - 1e-10)
             fro = [np.linalg.norm(word_product(fam, w)) for w in level]
@@ -175,16 +181,19 @@ class TestScanEquivalence:
 
 class TestWitnessRule:
     @pytest.mark.parametrize("mats", [
-        [np.diag([1.0, 0.5])],
-        [np.diag([1.0, 0.3]), np.diag([0.5, 0.2]), np.diag([0.2, 0.9])]])
+        [[[1.0, 1.0], [0.0, 0.5]]],
+        [[[1.0, 0.5], [0.0, 0.3]], [[0.5, 0.5], [0.0, 0.2]],
+         [[0.2, 0.5], [0.0, 0.9]]]])
     def test_letter_witness_values_level_one_only(self, mats, monkeypatch):
-        # no Lyndon word past length 1 for one letter, and no word of a
-        # diagonal family beats its largest letter: eigvals runs once
+        # no Lyndon word past length 1 for one letter, and no word of an
+        # upper triangular family beats its largest diagonal entry: eigvals
+        # runs once; the shears keep every level maximum above 1, so the
+        # bracket stays open to depth 6
         values_of, calls = _counting(_kernels.spectral_radii)
         monkeypatch.setattr(_kernels, "spectral_radii", values_of)
         mats = np.asarray(mats)
         res = _kernels.scan_words(mats, 6, 10**6)
-        assert calls == [len(mats)]
+        assert calls == [len(mats)] and res.levels == 6
         assert res.best_word == (1,) and res.best_val == 1.0
         np.testing.assert_array_equal(res.max_rho, np.ones(6))
 
@@ -211,6 +220,8 @@ class TestScreenWorstCases:
         assert_matches_brute(mats, 6)
         res = _kernels.scan_words(MatrixFamily(mats).mats, 6, 10**6)
         assert np.all(res.max_norm[2:] == 0.0) and np.all(res.max_rho == 0.0)
+        # the bracket [0, 0] closes at level 3
+        assert (res.levels, res.nodes, res.complete) == (3, 14, True)
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_rank_one_frobenius_is_two_norm(self, cplx):

@@ -523,7 +523,7 @@ class TestOrbitTest:
                 fam = conjugated_block_family(100 * seed + d, sizes, k,
                                               (1.0, 0.6), cplx)[0]
                 expected = closure_decision(fam)
-                done, w = reduction._orbit_test(fam, seed)
+                done, w, _ = reduction._orbit_test(fam, seed)
                 if expected is None or not done:
                     continue
                 decided += 1
@@ -544,7 +544,7 @@ class TestOrbitTest:
         mats[:, 0, :] = 0
         q = np.linalg.qr(rng.standard_normal((d, d)))[0]
         fam = MatrixFamily(q.T @ mats @ q)
-        done, w = reduction._orbit_test(fam, seed)
+        done, w, _ = reduction._orbit_test(fam, seed)
         assert not done or w is not None
         assert not is_irreducible(fam)
 
@@ -599,9 +599,18 @@ class TestBlockTriangularize:
         assert r.block_sizes == (1, 2)
         assert calls == [] and r.closures == 0
 
+    @staticmethod
+    def count_orbit_tests(monkeypatch):
+        tests = []
+        orbit_test = reduction._orbit_test
+        monkeypatch.setattr(reduction, "_orbit_test",
+                            lambda f, seed: tests.append(f.dim) or orbit_test(f, seed))
+        return tests
+
     def test_zero_coupling_recurses(self, monkeypatch):
-        # block-diagonal (1, 2): the split is followed by an orbit test of
-        # the 2x2 block, whichever side it lands on; no closure runs
+        # block-diagonal (1, 2): V = U + Z with U n Z = 0, so the side of
+        # the split that holds theta's eigenvalue (here the 2x2 block) needs
+        # no test of its own: one orbit test in all, and no closure
         rng = np.random.default_rng(5)
         mats = np.zeros((2, 3, 3))
         mats[:, :1, :1] = rng.standard_normal((2, 1, 1))
@@ -609,14 +618,11 @@ class TestBlockTriangularize:
         q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         fam = MatrixFamily(q.T @ mats @ q)
         assert algebra_closure(fam).dimension == 5
-        tests = []
-        orbit_test = reduction._orbit_test
-        monkeypatch.setattr(reduction, "_orbit_test",
-                            lambda f, seed: tests.append(f.dim) or orbit_test(f, seed))
+        tests = self.count_orbit_tests(monkeypatch)
         calls = self.count_closures(monkeypatch)
         r = block_triangularize(fam)
         assert sorted(r.block_sizes) == [1, 2]
-        assert tests == [3, 2] and calls == []
+        assert tests == [3] and calls == []
         assert all(is_irreducible(b) for b in r.blocks)
         assert r.reconstruction_residual() <= 1e-12
 
@@ -624,25 +630,68 @@ class TestBlockTriangularize:
                                        (1, 2, 2), (3, 1, 2), (2, 2, 2, 2)])
     @pytest.mark.parametrize("cplx", [False, True])
     @pytest.mark.parametrize("seed", range(3))
-    def test_planted_layouts(self, sizes, cplx, seed):
-        # every block found is irreducible, whether a closure of its own or
-        # the dimension of its parent's proved it, and the layout is the
-        # planted one (generic couplings leave one invariant flag)
+    def test_planted_layouts(self, sizes, cplx, seed, monkeypatch):
+        # every block found is irreducible, whether an orbit test of its
+        # own or its parent's section proved it, and the layout is the
+        # planted one (generic couplings leave one invariant flag); each
+        # block costs at most one orbit test, where a split followed by a
+        # test of each side took 2r - 1, less the 1x1 blocks
         fam, _ = conjugated_block_family(
             seed, sizes, spectral_scales=(1.0, 0.6, 0.8, 0.7)[:len(sizes)],
             cplx=cplx)
         assert fam.is_real == (not cplx)
+        tests = self.count_orbit_tests(monkeypatch)
         r = block_triangularize(fam, seed=seed)
         assert r.block_sizes == sizes
+        assert 1 <= len(tests) <= len(sizes) and r.closures == 0
         assert all(is_irreducible(b) for b in r.blocks)
         assert r.reconstruction_residual() <= 1e-10
+
+    def test_partial_intersection_takes_the_two_way_split(self, monkeypatch):
+        # X = span(e1, e2), uniserial, with theta's eigenvalue on top, plus
+        # Y = span(e3): U = X and Z = span(e1) + Y meet in span(e1), so U is
+        # reducible and neither section applies (dimensions 2 + 2 > 3); the
+        # two-way split recurses on both sides
+        rng = np.random.default_rng(2)
+        mats = np.zeros((2, 3, 3))
+        mats[:, 0, 0], mats[:, 1, 1], mats[:, 2, 2] = [1.0, 0.9], [-2.0, 3.0], [1.05, 0.95]
+        mats[:, 1, 0] = rng.standard_normal(2)
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        fam = MatrixFamily(q.T @ mats @ q)
+        decided, w, section = reduction._orbit_test(fam, 0)
+        assert decided and len(w) == 2 and section is None
+        tests = self.count_orbit_tests(monkeypatch)
+        r = block_triangularize(fam)
+        assert sorted(r.block_sizes) == [1, 1, 1] and tests == [3, 2]
+        assert r.reconstruction_residual() <= 1e-12
+
+    def test_real_section_with_a_nonreal_eigenvalue(self, monkeypatch):
+        # a real chain (1, 2, 1) whose theta has its best-separated
+        # eigenvalue nonreal, in the middle block: U / Z is that block,
+        # irreducible over the reals with ker q(theta) in place of v's line,
+        # and it takes no test; the two 1x1 blocks take none either
+        fam, _ = conjugated_block_family(7, (1, 2, 1), spectral_scales=(1.0, 0.6, 0.8),
+                                         cplx=False)
+        gens = fam.normalized_mats()
+        words = np.concatenate([gens, np.einsum("aij,bjk->abik", gens, gens).reshape(-1, 4, 4)])
+        theta = np.einsum("a,aij->ij", np.random.default_rng(7).standard_normal((2, 6))[0], words)
+        lam = np.linalg.eigvals(theta)
+        sep = (np.abs(lam[:, None] - lam) + np.diag(np.full(4, np.inf))).min(axis=1)
+        assert lam[np.argmax(sep)].imag != 0.0
+        decided, _, (z, u) = reduction._orbit_test(fam, 7)
+        assert decided and (len(z), len(u)) == (1, 3)
+        tests = self.count_orbit_tests(monkeypatch)
+        r = block_triangularize(fam, seed=7)
+        assert r.block_sizes == (1, 2, 1) and tests == [4] and r.closures == 0
+        assert r.transform.dtype == np.float64 and r.reconstruction_residual() <= 1e-12
+        assert all(is_irreducible(b) for b in r.blocks)
 
     def test_uncertain_closure_raises(self, monkeypatch):
         # a 5e-9 leak above the (2, 2) blocks puts an orbit rank decision in
         # the band: the closure decides instead, and its uncertainty raises
         # with its gap factor
         fam, _ = conjugated_block_family(5, (2, 2), leak=5e-9)
-        assert reduction._orbit_test(fam, 0) == (False, None)
+        assert reduction._orbit_test(fam, 0) == (False, None, None)
         with pytest.raises(ToleranceConflictError, match="gap factor"):
             block_triangularize(fam)
 
@@ -766,6 +815,16 @@ class TestExtremalSubspace:
         assert res.dim == 1
         assert res.diagnostics.startswith("blocks 1..1")
         assert_certified(res)
+
+    def test_family_is_scanned_once(self, shear, monkeypatch):
+        # the restriction reuses the family's bracket for the dominant
+        # blocks: one scan of the family, one of each block
+        scans = []
+        scan = reduction.bounds_bracket
+        monkeypatch.setattr(reduction, "bounds_bracket",
+                            lambda fam, *a: scans.append(fam.dim) or scan(fam, *a))
+        assert extremal_subspace(shear, depth=8).dim == 1
+        assert scans == [2, 1, 1]
 
     def test_zero_family(self):
         res = extremal_subspace(MatrixFamily(np.zeros((1, 2, 2))), depth=4)
