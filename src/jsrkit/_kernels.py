@@ -1,57 +1,41 @@
-"""Hot numeric kernels: level-batched word walks and matrix-product path sums.
+"""Hot numeric kernels: the level-batched word walk and matrix-product path sums.
 
 Everything here is vectorized numpy, one implementation of each kernel.
 Every word walk goes one level at a time through one frontier step,
 ``children``: a level is K GEMMs per block of parents, one per letter j,
 each multiplying the stacked rows of the block by S_j into slot j of an
 (m, K, d, d) array, so children come parent-major and letter-minor and a
-level is in lexicographic order.  The pruned search and the support walk
-of a measure carry their words as (m, n) letter arrays from
-``child_words``.  One rule, ``necklace_step``, picks the Lyndon words of
-every walk from the length p of each word's longest Lyndon prefix,
-carried from parent to child in O(1) beside the words.
+level is in lexicographic order.  One rule, ``necklace_step``, picks the
+Lyndon words of every walk from the length p of each word's longest
+Lyndon prefix, carried from parent to child in O(1) beside the words.
 
-``scan_words`` keeps only the words that can still hold a level maximum
-or beat the spectral witness, and it stops at the first level where its
-bracket closes: the least level maximum so far, min over m <= n of
-``max_norm[m]``, within 1e-12 of the witness value, relative (both
-normalized; 0 and 0 close too).  No deeper word's rho^(1/N) <= rho <=
-upper can then beat the witness by the scan's own 1e-12 tie, so the lower
-end and the witness are those of the full depth, and the upper end moves
-only by rounding.  A whole level of length n is the base-K
-codes c = 0..K^n-1 (Lyndon words come from ``lyndon_index``, cached per
-(K, n)).  Before a level of at least ``_PRUNE_FROM`` words is built, a
-parent u whose Frobenius norm lies below ``_prefix_floor`` is dropped:
-a level-N word u.v has ||P_{u.v}|| <= ||P_u|| M(N - n), M(j) the level-j
-maximum, and a level maximum reaches rho^N >= witness^N (Gripenberg's
-branch-and-bound argument).  A pruned level carries its codes and
-prefix lengths, and the answers are those of the scan of every word; a
-level whose maximum ends below the witness (an inverted bracket) or
-that loses every word makes the scan redo itself whole.  Per level it
-keeps only the largest 2-norm and the running maximum of the spectral
-values, so batched SVD and ``eigvals`` run behind exact screens.  The
-floor is the largest value (2-norm or spectral radius) among the 4 words
-with the largest Frobenius norms, and a word whose bound lies below it
-cannot hold the maximum.  The first bound is rho(P) <= ||P||_2 <=
-||P||_F; then the Gelfand chain, one batched matmul each on the words
-the bound before lets through: rho(P) <= ||P^(2^k)||_F^(2^-k) for
-spectral radii and ||P||_2 <= ||(P^H P)^(2^(k-1))||_F^(2^-k) for 2-norms,
-k = 1, 2, 3.  Each word is valued at most once.  The 1e-10 margin covers
-rounding, and the first spectral maximizer among the survivors in
-lexicographic order is the one an unscreened scan would pick.
+``scan_words`` is the one frontier loop over the word tree, behind both
+brackets of ``bounds``.  A whole level of length n is implicit: its
+words are the base-K codes 0..K^n-1 and its Lyndon words come from
+``lyndon_index``, cached per (K, n).  From a level's first cut on, the
+kept words are letter rows, stepped by ``child_necklaces``, so a cut
+walk goes on past the depth where codes overflow int64.  The two modes
+differ only in the words of a level they keep for the next:
 
-Both walks, the scan and the pruned search, share one witness rule
-(``level_witness``): spectral radii are taken only on Lyndon words, since
-rho is invariant under rotation and a power u^k ties the shorter u, and
-only on those whose bounds still reach the running witness, a known
-floor that cuts before the floor of the 4 does.  So the witness is the
-first Lyndon word that can beat it, a level that cannot raise the lower
-bound runs no ``eigvals``, and the answers are those of a walk that
-values every canonical word.  The pruned search cuts a word on the
-Frobenius bound before it takes an SVD (``norms_above``).  Every kernel
-computes in the dtype of its stack, float64 for a real family.  Letters
-are 0-based here; the scan's record gives 1-based words, as the public
-API does.
+- the exhaustive scan drops the parents that cannot reach a level
+  maximum or beat the witness (``_prefix_floor``, Gripenberg's
+  branch-and-bound argument), so its answers are those of a scan of
+  every word, and it stops where its bracket closes;
+- the pruned search (with ``tol``) keeps the words whose averaged 2-norm
+  exceeds lower + tol (``_kept_above``).
+
+Values come from batched SVD and ``eigvals`` behind exact screens: the
+Frobenius norm, then the Gelfand chain ||P^(2^k)||_F^(2^-k) >= rho(P)
+and ||(P^H P)^(2^(k-1))||_F^(2^-k) >= ||P||_2, one batched matmul each
+(``_screened``, ``_reach``); the keep rule also bounds the 2-norm below
+by ||P^H P||_F / ||P||_F, so only the words its bounds straddle get an
+SVD.  Both modes share one witness rule (``level_witness``): spectral
+radii are taken only on the Lyndon words whose bounds can still beat the
+running witness, since rho is invariant under rotation and a power u^k
+ties the shorter u, so the answers are those of a walk that values every
+canonical word.  Every kernel computes in the dtype of its stack,
+float64 for a real family.  Letters are 0-based here; the walk's record
+gives 1-based words, as the public API does.
 
 ``path_log_norms``, behind both Lyapunov estimates (the exact finite-n
 sum over support words and the Monte Carlo average over sampled paths),
@@ -97,13 +81,13 @@ _GEMM_ENTRIES = 2 ** 14
 # largest Frobenius norms
 _SCREEN_TOP = 4
 # a level of fewer words than this is built whole: on such levels the
-# pruning test and the carried codes cost more than they save (on
-# recorded `bracket` scans a gate of 512 or 1024 made the scan 1.37-1.45x
-# faster than building every word, 256 only 1.27-1.33x; the K = 3,
-# depth 6 scans of `ergodic`, which 512 prunes, ran 4-7% slower for it)
+# pruning test and the carry cost more than they save (on recorded
+# `bracket` scans with a code carry, a gate of 512 or 1024 made the scan
+# 1.37-1.45x faster than building every word, 256 only 1.27-1.33x; the
+# K = 3, depth 6 scans of `ergodic`, which 512 prunes, ran 4-7% slower)
 _PRUNE_FROM = 1024
-# base-K codes are int64: a level of more words is never built (nor could
-# one fit a node budget without pruning)
+# a whole level's base-K codes are int64: a level of more words is built
+# only from the letter rows of a cut one
 _MAX_CODE = 2 ** 63 - 1
 # products in the block table of ``path_log_norms``: a level of at most
 # this many d x d matrices is gathered from on every block step
@@ -132,8 +116,11 @@ def children(prods, mats, parents=None):
 
 def child_words(words, k):
     """The letter array of ``children``: each row extended by 0..k-1."""
-    letters = np.tile(np.arange(k), words.shape[0])
-    return np.column_stack([np.repeat(words, k, axis=0), letters])
+    m, n = words.shape
+    out = np.empty((m, k, n + 1), words.dtype)
+    out[:, :, :n] = words[:, None]
+    out[:, :, n] = np.arange(k)
+    return out.reshape(m * k, n + 1)
 
 
 def necklace_step(lengths, ref, k, n):
@@ -317,19 +304,33 @@ def level_witness(prods, fro, candidates, n, best):
     return int(kept[j]), float(avs[j]), top
 
 
-def norms_above(prods, fro, n, scale, level):
-    """(indices, values) of the products whose averaged norm
-    scale*||P||_2^(1/n) exceeds ``level``.  A product is cut without an SVD
-    when its Frobenius norm f gives scale*(f*(1+1e-10))^(1/n) <= level:
-    its computed 2-norm lies below f*(1+1e-10), so the SVD would cut it
-    too.  A Frobenius norm below ``_SCREEN_FLOOR``, whose squares may have
-    underflowed, cuts nothing."""
-    cut = (fro >= _SCREEN_FLOOR) & (
-        scale * (fro / _SCREEN_MARGIN) ** (1.0 / n) <= level)
-    live = np.flatnonzero(~cut)
-    norms = scale * two_norms(prods[live]) ** (1.0 / n)
-    above = norms > level
-    return live[above], norms[above]
+def _kept_above(prods, fro, n, scale, level):
+    """Indices of the products whose averaged 2-norm scale*||P||_2^(1/n),
+    as ``two_norms`` computes it, exceeds ``level``.  Bounds decide most
+    words, with a 1e-10 margin for rounding (a rank-one P's SVD value can
+    lie a few ulps above its computed Frobenius norm f): f above, and
+    ||P^H P||_F / f <= ||P||_2 below, one batched matmul on the words f
+    does not cut.  Only the words the two straddle get an SVD.  Below
+    ``_SCREEN_FLOOR`` f may have underflowed and cuts nothing; below
+    ``_CHAIN_FLOORS[0]`` the lower bound may have and keeps nothing."""
+    def averaged(values):
+        return scale * values ** (1.0 / n)
+
+    live = np.flatnonzero((fro < _SCREEN_FLOOR)
+                          | (averaged(fro / _SCREEN_MARGIN) > level))
+    keep = fro[live] >= _CHAIN_FLOORS[0]
+    at = live[keep]
+    gram = np.empty(at.size)
+    step = max(1, _GEMM_ENTRIES // prods.shape[-1] ** 2)
+    # a block at a time, as in ``children``: P^H P of a whole level would
+    # hold three more copies of it
+    for i in range(0, at.size, step):
+        gram[i:i + step] = frobenius(_gram(prods[at[i:i + step]]))
+    keep[keep] = averaged(gram / fro[at] * _SCREEN_MARGIN) > level
+    straddled = ~keep
+    if straddled.any():
+        keep[straddled] = averaged(two_norms(prods[live[straddled]])) > level
+    return live[keep]
 
 
 @dataclass(frozen=True)
@@ -364,18 +365,20 @@ def _prefix_floor(tops, n, depth, best):
                default=math.inf)
 
 
-def scan_words(mats, depth, node_budget, prune=True) -> WordScan:
-    """Scan over the words of length 1..depth, level by level.
+def scan_words(mats, depth, node_budget, prune=True, tol=None,
+               scale=1.0) -> WordScan:
+    """Walk the words of length 1..depth, level by level: the exhaustive
+    scan, or with ``tol`` the pruned search.
 
-    Finds per-depth maxima of averaged norm, the running maximum of the
-    averaged spectral value (the depth-n lower bound) and the best
-    (value, word) for it with shorter-then-lexicographic tie-breaking.
-    Spectral values are taken on Lyndon words only, since rho is
-    invariant under rotation and a power u^k ties the shorter u, and only
-    on those whose bounds can still beat the witness (``level_witness``).
-    A level is built only when it fits in the remaining node budget (and
-    its base-K codes in int64), and ``nodes`` counts the words built.
+    Both take the running maximum of the averaged spectral value (the
+    depth-n lower bound, ``max_rho``) and the witness (value, word) for it
+    with shorter-then-lexicographic tie-breaking (``level_witness``).  A
+    level is built only when it fits in the remaining node budget (and,
+    built whole, its base-K codes in int64), and ``nodes`` counts the
+    words built.  The two differ in the words of a level they keep for
+    the next.
 
+    The scan takes per-level maxima of averaged norm (``max_norm``).
     After each level, a bracket whose upper end, the least ``max_norm``
     so far, lies within 1e-12 of ``best_val`` relative, in either
     direction, is closed: the scan stops there, complete, with ``levels``
@@ -383,17 +386,22 @@ def scan_words(mats, depth, node_budget, prune=True) -> WordScan:
     past it stay 0.  A deeper word cannot beat the witness by the 1e-12
     tie, since its averaged value is at most rho, itself at most the
     upper end, so the lower end and the witness are those of the full
-    depth.  An inverted bracket beyond the tie never closes.
-
-    Before a level of at least ``_PRUNE_FROM`` words is built, the words
-    of its parent level whose Frobenius norm lies below ``_prefix_floor``
-    (by the screen margin, and from ``_SCREEN_FLOOR`` up) are dropped:
-    none of their extensions can hold a level maximum or pass the
-    witness's own floor, so the answers are those of the whole scan
+    depth.  An inverted bracket beyond the tie never closes.  Before a
+    level of at least ``_PRUNE_FROM`` words is built, the words of its
+    parent level whose Frobenius norm lies below ``_prefix_floor`` (by
+    the screen margin, and from ``_SCREEN_FLOOR`` up) are dropped: none
+    of their extensions can hold a level maximum or pass the witness's
+    own floor, so the answers are those of the whole scan
     (``prune=False``).  That argument needs every level maximum to reach
     the witness; when one ends below it (an inverted bracket) or a level
     loses every word, the scan is redone whole, and the redone scan's
     record (its nodes too) is the answer.
+
+    The pruned search (Gripenberg's branch and bound) keeps the words
+    whose averaged norm scale*||P||_2^(1/n) exceeds scale*``best_val`` +
+    ``tol`` (``_kept_above``), and it is complete when a level keeps
+    none.  Its ``max_norm`` holds only the last level's entry: the
+    largest averaged norm among the words that level kept (0 if none).
     """
     K, d, _ = mats.shape
     max_rho = np.zeros(depth)
@@ -405,52 +413,70 @@ def scan_words(mats, depth, node_budget, prune=True) -> WordScan:
     completed = True
     pruned = False
     prods = np.eye(d, dtype=mats.dtype)[None]
-    # a pruned level carries the base-K codes of its words and the lengths
-    # of their longest Lyndon prefixes; a whole level's codes are 0..K^n-1
-    codes = lengths = kept = None
+    # a whole level is implicit, its words the base-K codes 0..K^n-1; from
+    # a level's first cut on, the kept words are letter rows, carried with
+    # the lengths of their longest Lyndon prefixes
+    words = lengths = kept = None
     for n in range(1, depth + 1):
         m = (prods.shape[0] if kept is None else kept.size) * K
-        if nodes + m > node_budget or K ** n > _MAX_CODE:
+        if not m:  # the pruned search kept no word
+            break
+        if nodes + m > node_budget or (words is None and K ** n > _MAX_CODE):
             completed = False
             break
         prods, kept = children(prods, mats, kept), None
         nodes += m
-        if codes is None:
+        if words is None:
             lyndon = lyndon_index(K, n)
         else:
-            ref = codes // K ** np.maximum(lengths - 1, 0) % K
-            lengths, mask = necklace_step(lengths, ref, K, n)
-            codes = (codes[:, None] * K + np.arange(K)).ravel()
+            words, lengths, mask = child_necklaces(words, lengths, K)
             lyndon = np.flatnonzero(mask)
         fro = frobenius(prods)
-        _, norms = _screened(two_norms, _gram, prods, fro, np.arange(m))
-        top = float(norms.max())
-        tops.append(top)
-        max_norm[n - 1] = top ** (1.0 / n) if top > 0.0 else 0.0
+        if tol is None:
+            _, norms = _screened(two_norms, _gram, prods, fro, np.arange(m))
+            top = float(norms.max())
+            tops.append(top)
+            max_norm[n - 1] = top ** (1.0 / n) if top > 0.0 else 0.0
         found = level_witness(prods, fro, lyndon, n, best_val)
         if found:
             j, val, level_max = found
             lower = max(lower, level_max)
             if val > best_val + 1e-12 * max(best_val, 1.0):
                 best_val = val
-                best_word = _word(j if codes is None else int(codes[j]), K, n)
+                best_word = (_word(j, K, n) if words is None
+                             else tuple(a + 1 for a in words[j].tolist()))
         max_rho[n - 1] = lower
-        levels, upper = n, min(upper, max_norm[n - 1])
-        if abs(upper - best_val) <= 1e-12 * best_val:  # closed
-            break
-        if prune and n < depth and m * K >= _PRUNE_FROM and best_val > 0.0:
-            floor = _prefix_floor(tops, n, depth, best_val) * _SCREEN_MARGIN
-            keep = (fro >= floor) | (fro < _SCREEN_FLOOR)
-            if not keep.any():
-                return scan_words(mats, depth, node_budget, prune=False)
-            if keep.all():
+        levels = n
+        if tol is not None:
+            keep = _kept_above(prods, fro, n, scale, scale * best_val + tol)
+        else:
+            upper = min(upper, max_norm[n - 1])
+            if abs(upper - best_val) <= 1e-12 * best_val:  # closed
+                break
+            if not (prune and n < depth and m * K >= _PRUNE_FROM
+                    and best_val > 0.0):
                 continue
-            pruned = True
-            kept = np.flatnonzero(keep)
-            if codes is None:
-                codes, lengths = kept, _full_level(K, n)[0][kept]
-            else:
-                codes, lengths = codes[kept], lengths[kept]
+            floor = _prefix_floor(tops, n, depth, best_val) * _SCREEN_MARGIN
+            keep = np.flatnonzero((fro >= floor) | (fro < _SCREEN_FLOOR))
+            if not keep.size:
+                return scan_words(mats, depth, node_budget, prune=False)
+            pruned = pruned or keep.size < m
+        if keep.size == m:
+            continue
+        kept = keep
+        if words is None:  # the first cut: rows of the codes' base-K digits
+            words = kept[:, None] // K ** np.arange(n - 1, -1, -1) % K
+            lengths = _full_level(K, n)[0][kept]
+        else:
+            words, lengths = words[kept], lengths[kept]
+    if tol is not None:
+        completed = kept is not None and not kept.size
+        if levels:
+            live = np.arange(prods.shape[0]) if kept is None else kept
+            _, norms = _screened(two_norms, _gram, prods, fro, live)
+            # an array power, which rounds as the keep rule's does
+            max_norm[levels - 1] = np.max(norms ** (1.0 / levels),
+                                          initial=0.0)
     if pruned and np.any(max_norm[:levels] < best_val * (1.0 - 1e-11)):
         return scan_words(mats, depth, node_budget, prune=False)
     return WordScan(max_rho, max_norm, best_val, best_word, nodes, levels,

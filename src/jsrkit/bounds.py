@@ -6,25 +6,16 @@ smallest per-depth maximum of nth-root product norms (a true upper bound
 by submultiplicativity).  ``pruned_search`` narrows the bracket with a
 Gripenberg-style branch-and-bound instead of exhausting every depth.
 
-Both walk the word tree level by level through the batched frontier step
-of ``_kernels``.  The exhaustive scan (``_kernels.scan_words``) builds
-only the words that can still hold a level maximum or beat the witness
-(a word u of level n is dropped once ||P_u||_F M(N - n) stays below the
-witness^N at every deeper level N, and a scan whose bracket inverts is
-redone whole), so its answers are those of a scan of every word, and
-takes singular values only where exact screens, the Frobenius norm and
-then the Gelfand chain ||(P^H P)^(2^(k-1))||_F^(2^-k), say the level
-maximum can be.  The pruned search takes an SVD only of the words whose
-Frobenius norm does not already decide the cut
-(``_kernels.norms_above``).  Both take eigenvalues only of the Lyndon
-words whose bounds, ||P||_F and ||P^(2^k)||_F^(2^-k) for k = 1, 2, 3, can
-still beat the running witness (``_kernels.level_witness``).  Both work
-on the family over its scale (``MatrixFamily.normalized_mats``), and
-both count in ``nodes_visited`` the words they build.  The scan stops at
-the first level where its bracket closes, the upper end within 1e-12 of
-the lower relative (or both 0): no deeper word can beat the witness by
+Both brackets come from one walk of the word tree, ``_kernels.scan_words``,
+on the family over its scale (``MatrixFamily.normalized_mats``), and both
+count in ``nodes_visited`` the words it builds.  The exhaustive scan
+extends only the words that can still hold a level maximum or beat the
+witness, so its answers are those of a scan of every word, and it stops
+at the first level where its bracket closes, the upper end within 1e-12
+of the lower relative (or both 0): no deeper word can beat the witness by
 the tie below, so its ends are those of the full depth, the upper to
-rounding, and ``depth_explored`` and ``nodes_visited`` fall.
+rounding, and ``depth_explored`` and ``nodes_visited`` fall.  The pruned
+search keeps the words whose averaged norm exceeds lower + tol.
 
 Tie rule, shared by both: values are compared on the family divided by
 its scale, so a rescaled family decides the same way.  A level's witness
@@ -66,14 +57,17 @@ class BudgetExceededError(RuntimeError):
     """Node budget exhausted before a report that needs every level."""
 
 
-def _scan(family: MatrixFamily, depth: int,
-          node_budget: int) -> _kernels.WordScan:
-    """Exhaustive word-tree scan, rescaled for overflow safety.  Before
-    level 1 the spectral witness is the word (1,) with value 0."""
+def _scan(family: MatrixFamily, depth: int, node_budget: int,
+          tol: float | None = None) -> _kernels.WordScan:
+    """The word walk (``_kernels.scan_words``, the pruned search with
+    ``tol``) on the normalized letters, its values multiplied back by the
+    scale for overflow safety.  Before level 1 the spectral witness is the
+    word (1,) with value 0."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     scale = family.scale
-    res = _kernels.scan_words(family.normalized_mats(), depth, node_budget)
+    res = _kernels.scan_words(family.normalized_mats(), depth, node_budget,
+                              tol=tol, scale=scale)
     return replace(res, max_rho=res.max_rho * scale,
                    max_norm=res.max_norm * scale,
                    best_val=max(res.best_val, 0.0) * scale,
@@ -139,48 +133,22 @@ def pruned_search(family: MatrixFamily, tol: float,
     returned upper is max(lower + tol, best frontier value), a true upper
     bound by the block-factorization argument.
 
-    Each level expands the whole frontier in one batched matmul, raises
-    the lower bound by the level's spectral witness among its Lyndon
-    words (under the tie rule above), then cuts every child whose
-    averaged norm is <= lower + tol.  A level is expanded only if it fits
-    in the remaining node budget, as in the scan (with no level, the
-    bracket is [0, max_k ||S_k||] at (1,)), and the search is complete
-    only if the frontier ran out first.
+    It is the scan's walk with another keep rule: each level raises the
+    lower bound by its witness (under the tie rule above), then cuts every
+    child whose averaged norm is <= lower + tol.  A level is expanded only
+    if it fits in the remaining node budget (with no level, the bracket is
+    [0, max_k ||S_k||] at (1,)), and the search is complete only if the
+    frontier ran out first.  A zero family's bracket is the scan's, closed
+    at level 1.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    scale = family.scale
-    if family.size > node_budget:
-        return BoundsBracket(0.0, scale, (1,), 0, 0, False)
-    if scale == 0.0:
-        return BoundsBracket(0.0, 0.0, (1,), 1, family.size, True)
-    # work on the rescaled family so products stay near magnitude 1
-    mats = family.normalized_mats()
-    prods = np.eye(family.dim, dtype=mats.dtype)[None]
-    words = np.zeros((1, 0), np.int64)
-    lengths = np.ones(1, np.int64)
-    best_val, best_word = -1.0, words
-    nodes = depth = 0
-    while prods.shape[0] and depth < max_depth:
-        if nodes + prods.shape[0] * family.size > node_budget:
-            break
-        depth += 1
-        prods = _kernels.children(prods, mats)
-        words, lengths, lyndon = _kernels.child_necklaces(words, lengths,
-                                                          family.size)
-        nodes += prods.shape[0]
-        fro = _kernels.frobenius(prods)
-        found = _kernels.level_witness(prods, fro, np.flatnonzero(lyndon),
-                                       depth, best_val)
-        if found and found[1] > best_val + 1e-12 * max(best_val, 1.0):
-            best_val, best_word = found[1], words[found[0]]
-        lower = scale * best_val
-        keep, norms = _kernels.norms_above(prods, fro, depth, scale,
-                                           lower + tol)
-        prods, words, lengths = prods[keep], words[keep], lengths[keep]
-    complete = not prods.shape[0]
-    upper = float(np.max(norms, initial=lower + tol))
-    return BoundsBracket(lower, upper, tuple(int(c) + 1 for c in best_word),
-                         depth, nodes, complete)
+    if family.scale == 0.0:
+        return bounds_bracket(family, max_depth, node_budget)
+    res = _scan(family, max_depth, node_budget, tol)
+    upper = (max(float(res.max_norm[res.levels - 1]), res.best_val + tol)
+             if res.levels else family.scale)
+    return BoundsBracket(res.best_val, upper, res.best_word, res.levels,
+                         res.nodes, res.complete)

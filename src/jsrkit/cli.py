@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="certified JSR bracket")
     _add_common(p, "depth", "tol", "budget")
     p.add_argument("--prune", action="store_true",
-                   help="branch-and-bound to width --tol instead of exhaustive depth")
+                   help="branch-and-bound to width --tol, at most --depth "
+                        "levels deep, instead of exhaustive depth")
     p.add_argument("--table", action="store_true",
                    help="also print the per-depth lower/upper table")
 
@@ -146,7 +147,8 @@ def _cmd_bounds(args, family):
     scan = (bounds_mod._scan(family, args.depth, args.budget)
             if args.table or not args.prune else None)
     if args.prune:
-        bracket = bounds_mod.pruned_search(family, args.tol, args.budget)
+        bracket = bounds_mod.pruned_search(family, args.tol, args.budget,
+                                           args.depth)
     else:
         bracket = bounds_mod._bracket(scan, family.scale)
     # a complete scan that stopped short of the depth closed its bracket

@@ -428,6 +428,20 @@ class TestBudget:
         assert b.complete and b.depth_explored == 12
         assert b.nodes_visited == 1134
 
+    @pytest.mark.parametrize("mats, depth", [
+        # levels of about 500 words, to depth 70: the base-2 code of a word
+        # overflows int64 from depth 63, and the budget is 10^7
+        ([[[1, 1], [0, 1]], 0.02 * np.eye(2)], 70),
+        # K = 3, where codes overflow from depth 40; the witness is a word
+        # of length 45
+        ([[[1, 1], [0, 1]], 0.02 * np.eye(2), [[0, 0.03], [0.03, 0]]], 45),
+    ])
+    def test_pruned_levels_pass_the_code_cap(self, mats, depth):
+        fam = MatrixFamily.from_matrices(mats)
+        b = bounds_bracket(fam, depth)
+        assert b == reference_bracket(fam, depth, 10**7)
+        assert b.complete and b.depth_explored == depth
+
     def test_report_raises(self, mixed_entries):
         with pytest.raises(BudgetExceededError):
             berger_wang_report(mixed_entries, 10, node_budget=20)

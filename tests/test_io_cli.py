@@ -313,6 +313,19 @@ class TestCliBounds:
         bracket = doc["results"]["bracket"]
         assert bracket["upper"] - bracket["lower"] <= 1e-5 + 1e-12
 
+    def test_prune_keeps_to_the_depth(self, tmp_path, capsys):
+        # the pruned search of mixed_entries.json runs to depth 64 unless
+        # --depth stops it: the report's config and its search agree
+        report = tmp_path / "run.json"
+        code = cli.main(["bounds", data_path("mixed_entries.json"), "--depth",
+                         "3", "--prune", "--tol", "1e-9", "--out",
+                         str(report)])
+        assert code == 2
+        assert "config: depth=3 " in capsys.readouterr().out
+        doc = json.loads(report.read_text())
+        assert doc["config"]["depth"] == 3
+        assert doc["results"]["bracket"]["depth_explored"] <= 3
+
     def test_table(self, capsys):
         code = cli.main(["bounds", data_path("golden_pair.json"), "--depth",
                          "6", "--table"])

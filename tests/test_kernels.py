@@ -481,8 +481,17 @@ class TestScreen:
             assert kept.size <= _top1_kept(values_of, prods, fro, candidates)
 
 
-class TestNormsAbove:
-    def test_cuts_as_the_svd_does(self):
+def _svd_rule(prods, n, scale, level):
+    return np.flatnonzero(scale * _kernels.two_norms(prods) ** (1.0 / n)
+                          > level)
+
+
+class TestKeepScreen:
+    """The pruned search's keep decision (``_kept_above``) against an SVD
+    of every word."""
+
+    @pytest.mark.parametrize("n, scale", [(1, 1.0), (3, 2.5)])
+    def test_rank_one_cuts_as_the_svd_does(self, n, scale):
         # rank-one products: ||P||_2 == ||P||_F, and rounding puts the SVD's
         # value a few ulps above the Frobenius norm on about a third of
         # them; at a level equal to such a Frobenius norm only the 1e-10
@@ -494,10 +503,44 @@ class TestNormsAbove:
         norms = _kernels.two_norms(prods)
         above = np.flatnonzero(norms > fro)
         assert above.size > 20
-        for level in fro[above[:20]]:
-            keep, values = _kernels.norms_above(prods, fro, 1, 1.0, level)
-            assert keep.tolist() == np.flatnonzero(norms > level).tolist()
-            np.testing.assert_array_equal(values, norms[keep])
+        for level in scale * fro[above[:20]] ** (1.0 / n):
+            keep = _kernels._kept_above(prods, fro, n, scale, level)
+            np.testing.assert_array_equal(
+                keep, _svd_rule(prods, n, scale, level))
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_level_at_a_gram_lower_bound(self, cplx, monkeypatch):
+        # products of 6 random letters, as a walk's words are: at a level
+        # equal to a word's bound ||P^H P||_F / ||P||_F the bounds straddle
+        # it, so that word gets an SVD, and most words are decided by the
+        # bounds alone
+        rng = np.random.default_rng(4)
+        letters = rng.standard_normal((6, 300, 3, 3))
+        if cplx:
+            letters = letters + 1j * rng.standard_normal((6, 300, 3, 3))
+        prods = letters[0]
+        for letter in letters[1:]:
+            prods = prods @ letter
+        fro = _kernels.frobenius(prods)
+        gram = _kernels.frobenius(_kernels._gram(prods)) / fro
+        levels = 1.5 * gram[:3] ** (1.0 / 6)
+        want = [_svd_rule(prods, 6, 1.5, level) for level in levels]
+        two_norms, calls = _counting(_kernels.two_norms)
+        monkeypatch.setattr(_kernels, "two_norms", two_norms)
+        for level, kept in zip(levels, want):
+            calls.clear()
+            keep = _kernels._kept_above(prods, fro, 6, 1.5, level)
+            np.testing.assert_array_equal(keep, kept)
+            assert 1 <= sum(calls) < 30
+
+    def test_products_below_the_screen_floor(self):
+        # squares of entries near 1e-160 underflow: neither bound decides,
+        # and the SVD keeps the word
+        prods = np.array([[[1e-160, 1e-160], [0.0, 1e-160]]])
+        fro = _kernels.frobenius(prods)
+        keep = _kernels._kept_above(prods, fro, 64, 1.0, 1e-3)
+        np.testing.assert_array_equal(keep, _svd_rule(prods, 64, 1.0, 1e-3))
+        assert keep.tolist() == [0]
 
 
 def _walk(k, n):
